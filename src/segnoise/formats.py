@@ -22,6 +22,7 @@ PGM files are the binary ``P5`` flavor with maxval 255: loading maps values
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -98,7 +99,7 @@ def load_gtf(path, expect: str | None = None) -> np.ndarray:
     shape = struct.unpack_from(f"<{ndim}I", data, 8)
     if any(d < 1 for d in shape):
         raise FormatError(path, 8, f"extents must be positive, got {shape}")
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # Python ints: huge extents cannot wrap to a small count
     itemsize = 1 if code == _DTYPE_MASK else 4
     expected = dims_end + count * itemsize
     if len(data) != expected:

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import ndimage
-from scipy.stats import beta as beta_dist
 
 from .correct import (CorrectionParams, ValidationBoundInputs,
                       required_validation_size, spatial_correction)
@@ -340,6 +339,8 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
         if err > fail_threshold:
             failures += 1
 
+    from scipy.stats import beta as beta_dist  # here: scipy.stats is most of the package's import time
+
     rate = failures / n_trials
     lb = float(beta_dist.ppf(0.05, failures, n_trials - failures + 1)) if failures else 0.0
     ci_lo = float(beta_dist.ppf(0.025, failures, n_trials - failures + 1)) if failures else 0.0
@@ -432,8 +433,9 @@ def run_pipeline(spec: SynthSpec, noise: LabelNoise,
     noisy_model = LogisticSegmenter(train_cfg).fit(images[tr], noisy, seed)
     metrics.append({"arm": "noisy", "seed": seed,
                     "test_dsc": _mean_test_dsc(noisy_model, images[te], masks[te])})
+    # the loop's first fit is the noisy arm's, which noisy_model already holds
     sc = spatial_correction(images[tr], noisy, images[va], masks[va],
-                            LogisticSegmenter(train_cfg), correction, seed=seed,
+                            noisy_model, correction, seed=seed,
                             train_truth=masks[tr], report_path=sc_report_path)
     metrics.append({"arm": "sc", "seed": seed,
                     "test_dsc": _mean_test_dsc(sc.model, images[te], masks[te])})

@@ -18,7 +18,6 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy import ndimage
-from scipy.special import expit
 
 from .grid import as_field, as_mask
 from .noise import MarkovNoiseParams, bayes_mask_one_step
@@ -85,15 +84,31 @@ def loss_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
     """Mean logistic cross-entropy with an L2 penalty on the non-bias weights.
 
     Returns (loss, gradient); both are exact, which makes the gradient easy
-    to validate against finite differences.
+    to validate against finite differences. One ``e = exp(-|f|)`` of the
+    logits ``f`` serves both terms: the per-site loss ``log(1 + e^f)`` is
+    ``max(f, 0) + log1p(e)`` and the sigmoid is ``where(f >= 0, 1, e) / (1 + e)``,
+    both stable at any magnitude of ``f``.
     """
+    n = y.size
     f = X @ w
-    # log(1 + e^f) - y*f, computed stably
-    loss = float(np.mean(np.logaddexp(0.0, f) - y * f))
+    e = np.abs(f)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    buf = np.log1p(e)
+    log1p_sum = buf.sum()
+    max_sum = np.maximum(f, 0.0, out=buf).sum()
+    loss = float(max_sum + log1p_sum - y @ f) / n
     reg = w.copy()
     reg[0] = 0.0
     loss += 0.5 * l2 * float(reg @ reg)
-    grad = X.T @ (expit(f) - y) / y.size + l2 * reg
+    # the sigmoid's numerator where(f >= 0, 1, e) is max(sign(f), e), as
+    # 0 < e <= 1 with e = 1 at f = 0; f, e and buf are then reused in place
+    np.add(e, 1.0, out=buf)
+    np.sign(f, out=f)
+    np.maximum(f, e, out=e)
+    e /= buf
+    e -= y
+    grad = X.T @ e / n + l2 * reg
     return loss, grad
 
 
@@ -110,26 +125,37 @@ class LogisticSegmenter:
         self.weights: np.ndarray | None = None
         self.losses: list[float] = []
         self.seed: int | None = None
+        self._fitted_on: tuple | None = None
 
     def fit(self, images, labels, seed=None):
+        """Train from zero weights for ``cfg.epochs`` full-batch steps.
+
+        Refitting on the same design matrix and labels as the model's last
+        fit is a no-op apart from recording ``seed``: the weights and losses
+        it would compute are the ones already held. Only digests of the data
+        are kept, not the data.
+        """
         if len(images) != len(labels) or not images:
             raise ValueError("need equally many images and label masks, at least one")
         X = np.concatenate([_features(img, self.cfg.feature_radii) for img in images])
         y = np.concatenate([as_mask(lbl).reshape(-1) for lbl in labels]).astype(np.float64)
         if X.shape[0] != y.shape[0]:
             raise ValueError("image and label shapes disagree")
-        w = np.zeros(X.shape[1])
-        losses = []
-        # overflow to inf is the divergence signal itself, not a stray warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(self.cfg.epochs):
-                loss, grad = loss_and_grad(w, X, y, self.cfg.l2)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(f"loss diverged under {self.cfg}")
-                losses.append(loss)
-                w -= self.cfg.learning_rate * grad
-        self.weights = w
-        self.losses = losses
+        fitted_on = (self.cfg, _digest(X), _digest(y))
+        if fitted_on != self._fitted_on:
+            w = np.zeros(X.shape[1])
+            losses = []
+            # overflow to inf is the divergence signal itself, not a stray warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(self.cfg.epochs):
+                    loss, grad = loss_and_grad(w, X, y, self.cfg.l2)
+                    if not np.isfinite(loss):
+                        raise TrainingDivergedError(f"loss diverged under {self.cfg}")
+                    losses.append(loss)
+                    w -= self.cfg.learning_rate * grad
+            self.weights = w
+            self.losses = losses
+            self._fitted_on = fitted_on
         self.seed = self.cfg.seed if seed is None else seed
         return self
 
@@ -235,11 +261,12 @@ def perturbed_oracle(clean_masks, noise_params: MarkovNoiseParams,
     return PerturbedOracle(base, err)
 
 
-def _digest(image: np.ndarray) -> str:
-    arr = np.ascontiguousarray(as_field(image))
+def _digest(arr: np.ndarray) -> str:
+    """SHA-256 of an array's shape and bytes, hashed in place without a copy."""
+    arr = np.ascontiguousarray(arr)
     h = hashlib.sha256()
     h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
+    h.update(arr.data)
     return h.hexdigest()
 
 
@@ -284,7 +311,7 @@ class ExternalSegmenter:
         if len(images) != len(self._train):
             raise ValueError("fit() must receive the registered training images")
         for given, registered in zip(images, self._train):
-            if _digest(given) != _digest(registered):
+            if _digest(as_field(given)) != _digest(registered):
                 raise ValueError("fit() images differ from the registered training images")
         if len(labels) != len(self._train):
             raise ValueError("need one label mask per training image")
@@ -312,7 +339,7 @@ class ExternalSegmenter:
             time.sleep(self.poll_interval)
 
     def predict_logits(self, image):
-        key = _digest(image)
+        key = _digest(as_field(image))
         if key not in self._logits:
             raise KeyError("image was not part of the registered train/val sets "
                            "or fit() has not completed a round yet")

@@ -5,12 +5,15 @@ asserted directly. Two tests shell out to the entry points: one always runs
 ``python -m segnoise`` and the ``[project.scripts]`` target declared in
 ``pyproject.toml`` the way the generated wrapper calls it; the other runs the
 ``segnoise`` script itself and only when it is on ``PATH``, which it is only
-after the package is installed.
+after the package is installed. One more imports the CLI in a fresh
+interpreter to see which modules a cold start loads.
 """
 
 import hashlib
+import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +217,14 @@ def test_corrupt_file_reports_a_byte_offset(tmp_path, capsys):
     rc, _, err = run(capsys, "sdf", "--mask", str(path), "--out", str(tmp_path / "phi.gtf"))
     assert rc == 2
     assert "at byte" in err
+
+
+def test_huge_gtf_extents_report_a_byte_offset(tmp_path, capsys):
+    path = tmp_path / "huge.gtf"
+    path.write_bytes(b"GTF1" + bytes([0, 3, 0, 0]) + struct.pack("<3I", *[4194304] * 3))
+    rc, _, err = run(capsys, "sdf", "--mask", str(path), "--out", str(tmp_path / "x.gtf"))
+    assert rc == 2
+    assert "at byte 20" in err
 
 
 # ---------------------------------------------------------------- estimate-bias
@@ -444,3 +455,15 @@ def test_installed_entry_points_answer():
 def test_console_script_on_path_answers():
     as_script = subprocess.run(["segnoise", *BOUND_ARGV], capture_output=True, text=True)
     assert as_script.returncode == 0 and as_script.stdout.strip() == "2956"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second to import and only the
+    # validation-bound harness needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import segnoise.cli, sys; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"

@@ -1,5 +1,7 @@
 """GTF container and binary PGM: round trips and precise failure offsets."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ from segnoise import (
     save_mask,
     save_pgm,
 )
+
+
+# a whole 20-byte file: extents 4194304**3 = 2**66 sites, which a 64-bit
+# product wraps to 0, matching the empty payload
+HUGE_GTF = b"GTF1" + bytes([0, 3, 0, 0]) + struct.pack("<3I", *[4194304] * 3)
 
 
 def gtf_bytes(mask=None, field=None, tmp_path=None, name="x.gtf"):
@@ -80,6 +87,7 @@ def test_expectation_mismatch_names_the_dtype_byte(tmp_path, rng):
         (lambda b: b.__setitem__(5, 4), 5),
         (lambda b: b.__setitem__(6, 1), 6),
         (lambda b: b.__setitem__(slice(8, 12), (0).to_bytes(4, "little")), 8),
+        (lambda b: b.__setitem__(slice(None), HUGE_GTF), 20),
     ],
 )
 def test_corrupt_headers_report_their_offset(tmp_path, rng, mutate, offset):

@@ -1,28 +1,37 @@
 """Reference segmenter, controlled-error predictor, external-trainer bridge."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from segnoise import (
+    CorrectionParams,
     ExternalSegmenter,
     LogisticSegmenter,
     MarkovNoiseParams,
     OracleErrorSpec,
     PerturbedOracle,
     Segmenter,
+    SynthSpec,
     TrainConfig,
     TrainingDivergedError,
     bayes_mask_one_step,
     centered_disk,
+    dice,
     fit_logistic,
     loss_and_grad,
     perturbed_oracle,
+    run_pipeline,
     save_field,
     signed_distance,
+    spatial_correction,
+    synth_dataset,
     threshold,
 )
+from segnoise import model as model_module
 from segnoise.model import draw_offsets
 from _oracles import finite_difference_grad
 
@@ -58,6 +67,97 @@ def test_gradient_matches_central_differences():
         _, g = loss_and_grad(w, X, y, l2)
         ref = finite_difference_grad(lambda v: loss_and_grad(v, X, y, l2)[0], w)
         assert np.abs(g - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
+
+
+def reference_loss_and_grad(w, X, y, l2):
+    """The written-out loss and gradient: logaddexp for the loss, expit for the sigmoid."""
+    f = X @ w
+    reg = w.copy()
+    reg[0] = 0.0
+    loss = float(np.mean(np.logaddexp(0.0, f) - y * f)) + 0.5 * l2 * float(reg @ reg)
+    return loss, X.T @ (expit(f) - y) / y.size + l2 * reg
+
+
+def test_fused_loss_and_grad_matches_the_written_out_reference():
+    rng = np.random.default_rng(17)
+    n, d = 600, 4
+    # row scales from 1e-4 to 1e4 put logits of both signs across that whole range
+    X = rng.standard_normal((n, d)) * np.logspace(-4, 4, n)[:, None]
+    X[:5] = 0.0  # logits of exactly 0.0; a BLAS product sums from +0.0, so never -0.0
+    w = np.array([0.3, -1.2, 0.8, 0.5])
+    f = X @ w
+    assert f.min() < -1e3 and f.max() > 1e3 and (f == 0.0).sum() == 5
+    for y in (rng.random(n), (rng.random(n) < 0.5).astype(np.float64)):
+        for l2 in (0.0, 0.01):
+            loss, grad = loss_and_grad(w, X, y, l2)
+            ref_loss, ref_grad = reference_loss_and_grad(w, X, y, l2)
+            np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("w0", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("label", [0.0, 0.5, 1.0])
+def test_non_finite_logits_give_a_non_finite_loss(w0, label):
+    X = np.ones((8, 2))
+    y = np.full(8, label)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _ = loss_and_grad(np.array([w0, 0.5]), X, y, 0.0)
+    assert not np.isfinite(loss)
+
+
+def test_overflowing_fit_still_reports_divergence():
+    images, labels = toy_data(noise=0.2)
+    with pytest.raises(TrainingDivergedError):
+        fit_logistic(images, labels, TrainConfig(learning_rate=1e300, epochs=20))
+
+
+def test_identical_refit_is_a_no_op(monkeypatch):
+    images, labels = toy_data(noise=0.2, seed=4)
+    cfg = TrainConfig(epochs=40)
+    calls = []
+    real = model_module.loss_and_grad
+    monkeypatch.setattr(model_module, "loss_and_grad",
+                        lambda *args: calls.append(1) or real(*args))
+    model = LogisticSegmenter(cfg).fit(images, labels)
+    assert len(calls) == 40
+    weights, losses = model.weights.copy(), list(model.losses)
+
+    model.fit([img.copy() for img in images], [lbl.copy() for lbl in labels], seed=5)
+    assert len(calls) == 40
+    assert np.array_equal(model.weights, weights)
+    assert model.losses == losses
+    assert model.seed == 5
+
+    flipped = [lbl.copy() for lbl in labels]
+    flipped[1][0, 0] = ~flipped[1][0, 0]
+    model.fit(images, flipped)
+    assert len(calls) == 80
+    assert not np.array_equal(model.weights, weights)
+    assert np.array_equal(model.weights, LogisticSegmenter(cfg).fit(images, flipped).weights)
+
+
+def test_pipeline_sc_arm_matches_a_fresh_segmenter():
+    # run_pipeline hands its noisy-arm model to the loop; the loop must give
+    # what a fresh model would: same records, labels and test Dice
+    spec = SynthSpec(count=48, shape=(32, 32), blur_sigma=1.2, noise_sigma=0.25)
+    noise = MarkovNoiseParams(steps=8, theta1=0.9, theta2=0.6, theta3=0.02)
+    cfg, params, seed = TrainConfig(epochs=200), CorrectionParams(max_iters=3), 3
+    res = run_pipeline(spec, noise, params, cfg, n_val=6, n_test=10, seed=seed)
+
+    # the split and data derivation documented by run_pipeline
+    data_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    images, masks = synth_dataset(replace(spec, seed=int(data_ss.generate_state(1)[0])))
+    tr, va, te = slice(0, 32), slice(32, 38), slice(38, 48)
+    assert all(np.array_equal(a, b) for a, b in zip(res.train_masks, masks[tr]))
+    ref = spatial_correction(images[tr], res.noisy_labels, images[va], masks[va],
+                             LogisticSegmenter(cfg), params, seed=seed,
+                             train_truth=masks[tr])
+    assert len(ref.records) >= 2
+    assert repr(res.sc_records) == repr(ref.records)
+    assert all(np.array_equal(a, b) for a, b in zip(res.corrected_labels, ref.labels))
+    sc_dsc = float(np.mean([dice(threshold(ref.model.predict_logits(x), 0.0, mode="ge"), m)
+                            for x, m in zip(images[te], masks[te])]))
+    assert {row["arm"]: row["test_dsc"] for row in res.metrics}["sc"] == sc_dsc
 
 
 def test_separable_data_reaches_perfect_training_accuracy():
