@@ -16,22 +16,19 @@ from .correct import (BiasEstimate, CorrectionParams, EmptyBandError,
                       logit_correct, naive_correct, required_validation_size,
                       spatial_correction, write_report)
 from .formats import (FormatError, load_field, load_gtf, load_mask, load_pgm,
-                      save_field, save_gtf, save_mask, save_pgm)
-from .grid import (aggregate, as_field, as_mask, background_boundary, boundaries,
-                   complement, dice, dice_per_class, dilate_one, erode_one,
-                   foreground_boundary, neighborhood_structure, one_vs_rest,
-                   threshold)
+                      save_csv, save_field, save_gtf, save_mask, save_pgm)
+from .grid import (as_field, as_mask, boundaries, boundary_layer, dice, dilate_one,
+                   erode_one, threshold)
 from .harness import (PipelineResult, SynthSpec, TrialReport, centered_disk,
                       interior_hole_flips, run_pipeline, sweep, synth_dataset,
                       synth_masks, verify_bayes_mask, verify_validation_bound,
                       write_trial_report)
 from .model import (ExternalSegmenter, LogisticSegmenter, OracleErrorSpec,
                     PerturbedOracle, Segmenter, TrainConfig,
-                    TrainingDivergedError, fit_logistic, loss_and_grad,
-                    perturbed_oracle)
+                    TrainingDivergedError, loss_and_grad, perturbed_oracle)
 from .noise import (PRESETS, MarkovNoiseParams, NoisePreset,
-                    bayes_mask_one_step, dilate_erode_noise, expected_label_mc,
-                    generate, load_presets, markov_step, preset)
+                    bayes_mask_one_step, expected_label_mc, generate,
+                    load_presets, preset)
 from .sdf import DegenerateMaskError, sdf_gap, signed_distance
 
 __version__ = "0.1.0"

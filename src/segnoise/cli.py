@@ -10,19 +10,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .correct import (CorrectionParams, ValidationBoundInputs, estimate_bias,
-                      logit_correct, required_validation_size, spatial_correction,
-                      write_report)
-from .formats import (FormatError, load_field, load_gtf, load_mask, save_field,
-                      save_mask)
+                      logit_correct, required_validation_size, spatial_correction)
+from .formats import (FormatError, load_field, load_gtf, load_mask, save_csv,
+                      save_field, save_mask)
 from .grid import threshold
-from .harness import (SynthSpec, centered_disk, run_pipeline, sweep,
-                      synth_dataset, verify_bayes_mask, verify_validation_bound,
+from .harness import (SynthSpec, centered_disk, sweep, synth_dataset,
+                      verify_bayes_mask, verify_validation_bound,
                       write_trial_report)
 from .model import ExternalSegmenter, LogisticSegmenter, TrainConfig
 from .noise import PRESETS, MarkovNoiseParams, generate, load_presets
@@ -128,7 +126,7 @@ def _cmd_synth(args) -> int:
 
 def _resolve_noise_params(args) -> MarkovNoiseParams:
     presets = {name: p.params for name, p in PRESETS.items()}
-    if getattr(args, "config", None):
+    if args.config:
         presets.update(load_presets(args.config))
     base = None
     if args.preset:
@@ -174,18 +172,10 @@ def _cmd_estimate_bias(args) -> int:
     cleans = [_load_sdf_like(p) for p in clean_files]
     est = estimate_bias(preds, cleans)
     if args.out:
-        import csv
-
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["pred_file", "clean_file", "gap"])
-            k = 0
-            for pf, cf, p, c in zip(pred_files, clean_files, preds, cleans):
-                if p is None or c is None:
-                    w.writerow([pf.name, cf.name, ""])
-                else:
-                    w.writerow([pf.name, cf.name, repr(est.per_image_gaps[k])])
-                    k += 1
+        gaps = iter(est.per_image_gaps)  # one gap per pair that was not skipped, in order
+        save_csv(args.out, ["pred_file", "clean_file", "gap"],
+                 [[pf.name, cf.name, "" if p is None or c is None else repr(next(gaps))]
+                  for pf, cf, p, c in zip(pred_files, clean_files, preds, cleans)])
     print(f"delta_hat {est.delta_hat!r} over {est.v_used} image pairs "
           f"({est.skipped} skipped)")
     return 0
@@ -287,11 +277,10 @@ def _cmd_verify_lemma1(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
-    inputs = ValidationBoundInputs(eps0=args.eps0, eps1=args.eps1, eps=args.eps,
-                                   alpha=args.alpha, image_size=args.image_size)
-    report = verify_validation_bound(inputs, args.trials, theta1=args.theta1,
-                                     theta2=args.theta2, holdout=args.holdout,
-                                     family=args.family, seed=args.seed)
+    report = verify_validation_bound(_bound_inputs(args), args.trials,
+                                     theta1=args.theta1, theta2=args.theta2,
+                                     holdout=args.holdout, family=args.family,
+                                     seed=args.seed)
     if args.out:
         write_trial_report(report, args.out)
     status = "PASS" if report.passed else "FAIL"
@@ -315,9 +304,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    inputs = ValidationBoundInputs(eps0=args.eps0, eps1=args.eps1, eps=args.eps,
-                                   alpha=args.alpha, image_size=args.image_size)
-    print(required_validation_size(inputs))
+    print(required_validation_size(_bound_inputs(args)))
     return 0
 
 
@@ -325,16 +312,29 @@ def _cmd_bound(args) -> int:
 # parser
 
 
-def _add_noise_flags(p: _Parser, with_preset: bool = True) -> None:
-    if with_preset:
-        p.add_argument("--preset", help="named noise parameter preset")
-        p.add_argument("--config", help="INI file with extra [preset.NAME] sections")
+def _add_noise_flags(p: _Parser) -> None:
+    p.add_argument("--preset", help="named noise parameter preset")
+    p.add_argument("--config", help="INI file with extra [preset.NAME] sections")
     p.add_argument("-T", "--steps", type=int, default=None, help="boundary steps")
     p.add_argument("--theta1", type=float, default=None, help="expansion probability")
     p.add_argument("--theta2", type=float, default=None, help="per-site march probability")
     p.add_argument("--theta3", type=float, default=None, help="stable-site flip probability")
     p.add_argument("--smooth-sigma", type=float, default=None,
                    help="Gaussian smoothing before the flip pass")
+
+
+def _add_bound_flags(p: _Parser) -> None:
+    """The inputs of the validation-size bound, all required."""
+    p.add_argument("--eps0", type=float, required=True)
+    p.add_argument("--eps1", type=float, required=True)
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--image-size", type=int, required=True)
+
+
+def _bound_inputs(args) -> ValidationBoundInputs:
+    return ValidationBoundInputs(eps0=args.eps0, eps1=args.eps1, eps=args.eps,
+                                 alpha=args.alpha, image_size=args.image_size)
 
 
 def _add_train_flags(p: _Parser) -> None:
@@ -442,11 +442,7 @@ def build_parser() -> _Parser:
     v.set_defaults(func=_cmd_verify_lemma1)
 
     v = vsub.add_parser("theorem1", help="validation-set size bound, empirically")
-    v.add_argument("--eps0", type=float, required=True)
-    v.add_argument("--eps1", type=float, required=True)
-    v.add_argument("--eps", type=float, required=True)
-    v.add_argument("--alpha", type=float, required=True)
-    v.add_argument("--image-size", type=int, required=True)
+    _add_bound_flags(v)
     v.add_argument("--trials", type=int, default=200)
     v.add_argument("--holdout", type=int, default=200)
     v.add_argument("--theta1", type=float, default=0.7)
@@ -474,11 +470,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bound", help="validation-set size sufficient for recovery")
-    p.add_argument("--eps0", type=float, required=True)
-    p.add_argument("--eps1", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--image-size", type=int, required=True)
+    _add_bound_flags(p)
     p.set_defaults(func=_cmd_bound)
 
     return parser

@@ -11,7 +11,6 @@ training-label correction until the bias drops below one lattice layer.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .formats import save_csv
 from .grid import as_field, as_mask, dice, threshold
 from .model import Segmenter
 from .sdf import DegenerateMaskError, sdf_gap, signed_distance
@@ -97,15 +97,13 @@ def naive_correct(sdf, delta_hat: float) -> np.ndarray:
     return threshold(as_field(sdf) - delta_hat, 0.0, mode="le")
 
 
-def lambda_bias(logits, sdf, delta_hat: float, *, literal_sign: bool = False) -> float:
+def lambda_bias(logits, sdf, delta_hat: float) -> float:
     """Correction amplitude: the extreme logit inside the bias band.
 
     For delta_hat >= 1 the band is the background layers ``1 <= sdf <=
     delta_hat`` and the amplitude is minus their smallest logit; for
     delta_hat <= -1 it is the foreground layers ``delta_hat <= sdf <= -1``
     and minus their largest logit. Either way the sign opposes the bias.
-    ``literal_sign=True`` returns the raw extreme without the negation
-    (debugging aid; applying it pushes the contour the wrong way).
     """
     f = as_field(logits)
     d = as_field(sdf)
@@ -124,7 +122,7 @@ def lambda_bias(logits, sdf, delta_hat: float, *, literal_sign: bool = False) ->
         if not band.any():
             raise EmptyBandError(f"no site with {delta_hat} <= sdf <= -1")
         extreme = float(f[band].max())
-    return extreme if literal_sign else -extreme
+    return -extreme
 
 
 def logit_correct(logits, sdf, delta_hat: float, gamma: float = 1.0, *,
@@ -197,13 +195,9 @@ def write_report(records: Sequence[IterationRecord], path) -> None:
     def cell(v: float) -> str:
         return "" if math.isnan(v) else repr(float(v))
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "delta_hat", "lambda_mean",
-                    "train_label_dsc_vs_truth", "val_dsc"])
-        for r in records:
-            w.writerow([r.iteration, repr(float(r.delta_hat)), cell(r.lambda_mean),
-                        cell(r.train_label_dsc), cell(r.val_dsc)])
+    save_csv(path, ["iter", "delta_hat", "lambda_mean", "train_label_dsc_vs_truth", "val_dsc"],
+             [[r.iteration, repr(float(r.delta_hat)), cell(r.lambda_mean),
+               cell(r.train_label_dsc), cell(r.val_dsc)] for r in records])
 
 
 def _predicted_sdf(model: Segmenter, image: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

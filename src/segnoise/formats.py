@@ -13,15 +13,18 @@ offset size    content
 8+4n   --      payload, row-major
 ====== ======= ========================================
 
-Masks store one byte per site (0 background, 1 foreground; any nonzero byte
-loads as foreground). Fields store IEEE f32 and round-trip bit-exactly.
+Masks store one byte per site (0 background, 1 foreground; any other byte
+is rejected on load). Fields store IEEE f32 and round-trip bit-exactly.
 
 PGM files are the binary ``P5`` flavor with maxval 255: loading maps values
 >= 128 to foreground, saving writes 255/0. PGM is 2D only.
+
+Tabular reports are CSV, written by save_csv.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 from pathlib import Path
@@ -40,6 +43,7 @@ __all__ = [
     "load_mask",
     "save_field",
     "load_field",
+    "save_csv",
 ]
 
 _MAGIC = b"GTF1"
@@ -195,3 +199,15 @@ def save_field(field, path) -> None:
 
 def load_field(path) -> np.ndarray:
     return load_gtf(Path(path), expect="field")
+
+
+def save_csv(path, header, rows) -> None:
+    """Write a header row and then ``rows`` as CSV, each cell exactly as given.
+
+    Cells are written with ``str``, so callers format floats themselves
+    (the reports use ``repr`` to keep every bit).
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

@@ -1,9 +1,9 @@
-"""Lattice masks: boundaries, one-step morphology, voting, and overlap metrics.
+"""Lattice masks: boundaries, one-step morphology, and overlap metrics.
 
 Everything here works on plain numpy arrays. Binary masks are boolean arrays
-(True = foreground), scalar fields are float arrays, label maps are small
-non-negative integer arrays. Grids are 2D or 3D; two sites are neighbors when
-they differ by one step along exactly one axis (4 neighbors in 2D, 6 in 3D).
+(True = foreground), scalar fields are float arrays. Grids are 2D or 3D; two
+sites are neighbors when they differ by one step along exactly one axis (4
+neighbors in 2D, 6 in 3D).
 Sites outside the grid are simply absent: nothing wraps or reflects.
 
 All functions are pure and never mutate their inputs.
@@ -17,18 +17,12 @@ from scipy import ndimage
 __all__ = [
     "as_mask",
     "as_field",
-    "neighborhood_structure",
+    "boundary_layer",
     "boundaries",
-    "foreground_boundary",
-    "background_boundary",
     "dilate_one",
     "erode_one",
-    "complement",
     "threshold",
     "dice",
-    "dice_per_class",
-    "aggregate",
-    "one_vs_rest",
 ]
 
 # cross-shaped structuring elements, one per supported rank
@@ -36,13 +30,6 @@ _STRUCTS = {
     2: ndimage.generate_binary_structure(2, 1),
     3: ndimage.generate_binary_structure(3, 1),
 }
-
-
-def neighborhood_structure(ndim: int) -> np.ndarray:
-    """Boolean cross footprint selecting the axis-aligned unit neighbors."""
-    if ndim not in _STRUCTS:
-        raise ValueError(f"grids must be 2D or 3D, got {ndim}D")
-    return _STRUCTS[ndim].copy()
 
 
 def as_mask(a) -> np.ndarray:
@@ -71,36 +58,6 @@ def as_field(a) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def foreground_boundary(mask) -> np.ndarray:
-    """Foreground sites with at least one background neighbor."""
-    m = as_mask(mask)
-    st = _STRUCTS[m.ndim]
-    # border_value=1: a foreground site on the image edge is interior unless an
-    # in-grid background neighbor exposes it
-    return m & ~ndimage.binary_erosion(m, st, border_value=1)
-
-
-def background_boundary(mask) -> np.ndarray:
-    """Background sites with at least one foreground neighbor."""
-    m = as_mask(mask)
-    st = _STRUCTS[m.ndim]
-    return ~m & ndimage.binary_dilation(m, st, border_value=0)
-
-
-def boundaries(mask) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(foreground_boundary, background_boundary)`` of a mask.
-
-    The two sets are disjoint; both are empty exactly when the mask is
-    uniform (all foreground or all background).
-    """
-    return foreground_boundary(mask), background_boundary(mask)
-
-
 def dilate_one(mask) -> np.ndarray:
     """Grow the foreground by its adjacent background layer."""
     m = as_mask(mask)
@@ -110,11 +67,31 @@ def dilate_one(mask) -> np.ndarray:
 def erode_one(mask) -> np.ndarray:
     """Remove the exposed foreground boundary layer."""
     m = as_mask(mask)
+    # border_value=1: a foreground site on the image edge is interior unless an
+    # in-grid background neighbor exposes it
     return ndimage.binary_erosion(m, _STRUCTS[m.ndim], border_value=1)
 
 
-def complement(mask) -> np.ndarray:
-    return ~as_mask(mask)
+def boundary_layer(mask, expand: bool) -> np.ndarray:
+    """The sites one boundary step may flip.
+
+    With ``expand`` true, the background sites with at least one foreground
+    neighbor; otherwise the foreground sites with at least one background
+    neighbor.
+    """
+    m = as_mask(mask)
+    if expand:
+        return dilate_one(m) & ~m
+    return m & ~erode_one(m)
+
+
+def boundaries(mask) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(foreground boundary, background boundary)`` of a mask.
+
+    The two sets are disjoint; both are empty exactly when the mask is
+    uniform (all foreground or all background).
+    """
+    return boundary_layer(mask, False), boundary_layer(mask, True)
 
 
 def threshold(field, tau: float, mode: str = "ge") -> np.ndarray:
@@ -133,59 +110,9 @@ def threshold(field, tau: float, mode: str = "ge") -> np.ndarray:
 def dice(a, b) -> float:
     """Dice overlap 2|A&B| / (|A|+|B|); two empty masks score 1.0."""
     ma, mb = as_mask(a), as_mask(b)
-    _check_same_shape(ma, mb)
+    if ma.shape != mb.shape:
+        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     denom = int(ma.sum()) + int(mb.sum())
     if denom == 0:
         return 1.0
     return 2.0 * int((ma & mb).sum()) / denom
-
-
-def one_vs_rest(labels, cls: int, n_classes: int | None = None) -> np.ndarray:
-    """Binary mask selecting one class of an integer label map."""
-    arr = np.asarray(labels)
-    if arr.ndim not in (2, 3):
-        raise ValueError(f"grids must be 2D or 3D, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("label maps must be integer arrays")
-    if arr.min() < 0:
-        raise ValueError("label values must be non-negative")
-    n = int(arr.max()) + 1 if n_classes is None else n_classes
-    if not 0 <= cls < n:
-        raise ValueError(f"class {cls} out of range for {n} classes")
-    return np.ascontiguousarray(arr == cls)
-
-
-def dice_per_class(a, b, n_classes: int) -> tuple[list[float], float]:
-    """Per-class Dice scores plus their unweighted macro mean.
-
-    The macro mean weights every class equally regardless of size; this is a
-    reporting convention, pick a different aggregation if class prevalences
-    matter.
-    """
-    if n_classes < 1:
-        raise ValueError("need at least one class")
-    scores = [dice(one_vs_rest(a, c, n_classes), one_vs_rest(b, c, n_classes))
-              for c in range(n_classes)]
-    return scores, float(np.mean(scores))
-
-
-def aggregate(masks, rule: str = "majority") -> np.ndarray:
-    """Combine several binary masks of one scene into a single mask.
-
-    ``rule="majority"`` keeps sites where a strict majority of masks agree on
-    foreground (ties go to background: with n masks, ceil((n+1)/2) votes are
-    needed). ``rule="union"`` keeps sites any mask marks.
-    """
-    ms = [as_mask(m) for m in masks]
-    if not ms:
-        raise ValueError("aggregate needs at least one mask")
-    for m in ms[1:]:
-        _check_same_shape(ms[0], m)
-    counts = np.zeros(ms[0].shape, dtype=np.int64)
-    for m in ms:
-        counts += m
-    if rule == "majority":
-        return counts >= (len(ms) // 2 + 1)
-    if rule == "union":
-        return counts >= 1
-    raise ValueError(f"rule must be 'majority' or 'union', got {rule!r}")

@@ -8,17 +8,17 @@ reproduces every byte.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from .correct import (CorrectionParams, ValidationBoundInputs,
                       required_validation_size, spatial_correction)
+from .formats import save_csv
 from .grid import as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig, draw_offsets
 from .noise import MarkovNoiseParams, bayes_mask_one_step, expected_label_mc, generate
@@ -124,10 +124,11 @@ def _draw_mask(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     return mask
 
 
-def synth_masks(spec: SynthSpec) -> list[np.ndarray]:
-    """The masks of synth_dataset(spec), without paying for the images."""
+def synth_masks(spec: SynthSpec) -> Iterator[np.ndarray]:
+    """The masks of synth_dataset(spec), without the images, each drawn only
+    when the caller's iteration reaches it, so a large pool is never held."""
     children = np.random.SeedSequence(spec.seed).spawn(spec.count)
-    return [_draw_mask(np.random.default_rng(c), spec) for c in children]
+    return (_draw_mask(np.random.default_rng(c), spec) for c in children)
 
 
 def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -210,10 +211,7 @@ class TrialReport:
 
 
 def write_trial_report(report: TrialReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["key", "value"])
-        w.writerows(report.rows())
+    save_csv(path, ["key", "value"], report.rows())
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +439,8 @@ def run_pipeline(spec: SynthSpec, noise: LabelNoise,
                     "test_dsc": _mean_test_dsc(sc.model, images[te], masks[te])})
 
     if metrics_path is not None:
-        with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["arm", "seed", "test_dsc"])
-            for row in metrics:
-                w.writerow([row["arm"], row["seed"], repr(row["test_dsc"])])
+        save_csv(metrics_path, ["arm", "seed", "test_dsc"],
+                 [[row["arm"], row["seed"], repr(row["test_dsc"])] for row in metrics])
     return PipelineResult(metrics=metrics, sc_records=sc.records,
                           train_masks=list(masks[tr]), noisy_labels=noisy,
                           corrected_labels=sc.labels)
@@ -476,9 +471,7 @@ def sweep(kind: str, values: Sequence[int], spec: SynthSpec, noise: MarkovNoiseP
             rows.append({"kind": kind, "value": v, "arm": m["arm"],
                          "seed": seed, "test_dsc": m["test_dsc"]})
     if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kind", "value", "arm", "seed", "test_dsc"])
-            for r in rows:
-                w.writerow([r["kind"], r["value"], r["arm"], r["seed"], repr(r["test_dsc"])])
+        save_csv(csv_path, ["kind", "value", "arm", "seed", "test_dsc"],
+                 [[r["kind"], r["value"], r["arm"], r["seed"], repr(r["test_dsc"])]
+                  for r in rows])
     return rows

@@ -28,7 +28,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "LogisticSegmenter",
-    "fit_logistic",
     "loss_and_grad",
     "OracleErrorSpec",
     "PerturbedOracle",
@@ -196,12 +195,6 @@ class LogisticSegmenter:
         return model
 
 
-def fit_logistic(images, labels, cfg: TrainConfig | None = None,
-                 seed: int | None = None) -> LogisticSegmenter:
-    """Train a LogisticSegmenter; convenience wrapper around the class."""
-    return LogisticSegmenter(cfg).fit(images, labels, seed)
-
-
 @dataclass(frozen=True)
 class OracleErrorSpec:
     """Controlled additive error for oracle predictors.
@@ -323,12 +316,14 @@ class ExternalSegmenter:
         (rdir / "LABELS_DONE").touch()
         self._wait_for(rdir / "DONE")
         self._logits = {}
-        for i, img in enumerate(self._train):
-            self._logits[_digest(img)] = self._formats.load_field(
-                rdir / "logits" / f"train_{i:05d}.gtf").astype(np.float64)
-        for i, img in enumerate(self._val):
-            self._logits[_digest(img)] = self._formats.load_field(
-                rdir / "logits" / f"val_{i:05d}.gtf").astype(np.float64)
+        for split, imgs in (("train", self._train), ("val", self._val)):
+            for i, img in enumerate(imgs):
+                path = rdir / "logits" / f"{split}_{i:05d}.gtf"
+                field = self._formats.load_field(path)
+                if field.shape != img.shape:
+                    raise ValueError(f"{path}: logits have shape {field.shape}, "
+                                     f"its image has shape {img.shape}")
+                self._logits[_digest(img)] = field.astype(np.float64)
         return self
 
     def _wait_for(self, sentinel: Path) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import as_mask, dilate_one, erode_one, neighborhood_structure
+from .grid import as_mask, boundary_layer, dilate_one, erode_one
 
 __all__ = [
     "MarkovNoiseParams",
@@ -37,11 +37,9 @@ __all__ = [
     "PRESETS",
     "preset",
     "load_presets",
-    "markov_step",
     "generate",
     "expected_label_mc",
     "bayes_mask_one_step",
-    "dilate_erode_noise",
 ]
 
 
@@ -160,39 +158,14 @@ def load_presets(path) -> dict[str, MarkovNoiseParams]:
     return out
 
 
-def markov_step(mask, expand: bool, march) -> np.ndarray:
-    """One deterministic boundary step.
-
-    With ``expand`` true, background-boundary sites selected by ``march``
-    join the foreground; otherwise foreground-boundary sites selected by
-    ``march`` leave it. Sites of ``march`` away from the relevant boundary
-    have no effect.
-    """
-    m = as_mask(mask)
-    sel = as_mask(march)
-    if sel.shape != m.shape:
-        raise ValueError(f"shape mismatch: {m.shape} vs {sel.shape}")
-    st = neighborhood_structure(m.ndim)
-    if expand:
-        band = ~m & ndimage.binary_dilation(m, st, border_value=0)
-        return m | (sel & band)
-    band = m & ~ndimage.binary_erosion(m, st, border_value=1)
-    return m & ~(sel & band)
-
-
 def _run_process(mask: np.ndarray, params: MarkovNoiseParams,
                  rng: np.random.Generator) -> np.ndarray:
     """Drive the full process with a caller-supplied generator."""
-    st = neighborhood_structure(mask.ndim)
     out = mask.copy()
     flat = out.reshape(-1)
     for _ in range(params.steps):
         expand = rng.random() < params.theta1
-        if expand:
-            band = ~out & ndimage.binary_dilation(out, st, border_value=0)
-        else:
-            band = out & ~ndimage.binary_erosion(out, st, border_value=1)
-        sites = np.flatnonzero(band)  # row-major draw order
+        sites = np.flatnonzero(boundary_layer(out, expand))  # row-major draw order
         if sites.size:
             march = rng.random(sites.size) < params.theta2
             flat[sites[march]] = expand
@@ -266,24 +239,3 @@ def bayes_mask_one_step(mask, theta1: float, theta2: float) -> np.ndarray:
     if 1.0 + theta1 * theta2 - theta2 < 0.5:
         return erode_one(m)
     return m.copy()
-
-
-def dilate_erode_noise(mask, max_pixels: int, seed: int = 0) -> np.ndarray:
-    """Uniformly dilate or erode by a uniform 1..max_pixels layers.
-
-    The direction coin is drawn first, then the layer count. Erosion stops
-    early once the foreground vanishes (the remaining layers are no-ops and
-    are skipped; the result stays empty).
-    """
-    m = as_mask(mask)
-    if max_pixels < 1:
-        raise ValueError("max_pixels must be >= 1")
-    rng = np.random.default_rng(seed)
-    grow = rng.random() < 0.5
-    k = int(rng.integers(1, max_pixels + 1))
-    out = m
-    for _ in range(k):
-        out = dilate_one(out) if grow else erode_one(out)
-        if not grow and not out.any():
-            break
-    return out

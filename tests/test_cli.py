@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from segnoise import (MarkovNoiseParams, dilate_one, estimate_bias, generate,
-                      signed_distance)
+                      sdf_gap, signed_distance)
 from segnoise.cli import main
 from segnoise.formats import load_field, load_mask, save_field, save_mask
 
@@ -248,6 +248,27 @@ def test_estimate_bias_reports_the_dilation_gap(tmp_path, capsys):
     lines = csv_out.read_text().splitlines()
     assert lines[0] == "pred_file,clean_file,gap"
     assert len(lines) == 5 and all(line.rsplit(",", 1)[1] for line in lines[1:])
+
+
+def test_estimate_bias_csv_leaves_a_skipped_pair_blank(tmp_path, capsys):
+    _, masks_dir = make_dataset(capsys, tmp_path / "ds", count=4, size="32x32")
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    masks = [load_mask(p) for p in sorted(masks_dir.iterdir())]
+    preds = [dilate_one(masks[0]), np.zeros_like(masks[1]),
+             dilate_one(dilate_one(masks[2])), masks[3]]
+    for i, p in enumerate(preds):
+        save_mask(p, pred_dir / f"mask_{i:05d}.gtf")
+    csv_out = tmp_path / "gaps.csv"
+    rc, out, _ = run(capsys, "estimate-bias", "--pred-dir", str(pred_dir),
+                     "--clean-dir", str(masks_dir), "--out", str(csv_out))
+    assert rc == 0
+    assert "over 3 image pairs (1 skipped)" in out
+    rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == [f"mask_{i:05d}.gtf" for i in range(4)]
+    assert rows[1][2] == ""
+    for i in (0, 2, 3):
+        assert rows[i][2] == repr(sdf_gap(signed_distance(preds[i]), signed_distance(masks[i])))
 
 
 def test_estimate_bias_rejects_raw_logit_fields(tmp_path, capsys):

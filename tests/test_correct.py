@@ -114,9 +114,6 @@ def test_lambda_band_hand_values(disk9):
     f = -phi
     assert lambda_bias(f, phi, 2.0) == 2.0
     assert lambda_bias(f, phi, -2.0) == -2.0
-    # the printed form without the direction fix, kept for inspection
-    assert lambda_bias(f, phi, 2.0, literal_sign=True) == -2.0
-    assert lambda_bias(f, phi, -2.0, literal_sign=True) == 2.0
 
 
 def test_lambda_requires_a_meaningful_shift_and_a_band(disk9):

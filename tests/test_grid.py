@@ -1,4 +1,4 @@
-"""Mask vocabulary: boundaries, morphology, dice, aggregation, thresholding."""
+"""Mask vocabulary: boundaries, morphology, dice, thresholding."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from segnoise import (
-    aggregate,
     as_mask,
     boundaries,
-    complement,
     dice,
-    dice_per_class,
     dilate_one,
     erode_one,
-    one_vs_rest,
     threshold,
 )
 from _oracles import brute_boundaries
@@ -81,10 +77,9 @@ def test_boundary_layers_are_disjoint_and_on_their_own_side(m):
 @given(masks_2d)
 def test_complement_swaps_boundary_roles(m):
     fg_b, bg_b = boundaries(m)
-    fg_c, bg_c = boundaries(complement(m))
+    fg_c, bg_c = boundaries(~m)
     assert np.array_equal(fg_b, bg_c)
     assert np.array_equal(bg_b, fg_c)
-    assert np.array_equal(complement(complement(m)), m)
 
 
 def test_dilate_and_erode_single_pixel_row():
@@ -137,66 +132,6 @@ def test_dice_is_symmetric(a, seed):
     b = np.random.default_rng(seed).random(a.shape) < 0.5
     assert dice(a, b) == dice(b, a)
     assert 0.0 <= dice(a, b) <= 1.0
-
-
-def test_majority_tie_of_four_goes_to_background():
-    site = np.zeros((1, 1), dtype=bool)
-    on = np.ones((1, 1), dtype=bool)
-    assert not aggregate([on, on, site, site], rule="majority").any()
-    assert aggregate([on, on, on, site], rule="majority").all()
-
-
-def test_union_with_empty_mask_returns_the_mask():
-    m = row([0, 1, 1, 0, 0])
-    e = np.zeros_like(m)
-    assert np.array_equal(aggregate([m, e], rule="union"), m)
-
-
-def test_majority_of_three_identical_masks_is_that_mask():
-    m = row([0, 1, 0, 1, 1])
-    assert np.array_equal(aggregate([m, m, m], rule="majority"), m)
-
-
-@given(st.lists(hnp.arrays(np.bool_, (3, 3)), min_size=1, max_size=5), st.randoms())
-def test_aggregate_is_order_independent(ms, shuffler):
-    perm = list(ms)
-    shuffler.shuffle(perm)
-    for rule in ("majority", "union"):
-        assert np.array_equal(aggregate(ms, rule=rule), aggregate(perm, rule=rule))
-
-
-def test_aggregate_rejects_empty_and_mismatched_input():
-    with pytest.raises(ValueError):
-        aggregate([], rule="union")
-    with pytest.raises(ValueError):
-        aggregate([np.zeros((2, 2), dtype=bool), np.zeros((3, 2), dtype=bool)], rule="union")
-
-
-def test_one_vs_rest_selects_exactly_that_class():
-    labels = np.array([[0, 1, 2], [2, 1, 0]])
-    m2 = one_vs_rest(labels, 2)
-    assert np.array_equal(m2, labels == 2)
-    assert not one_vs_rest(np.zeros((2, 2), dtype=np.int64), 1, n_classes=2).any()
-
-
-def test_one_vs_rest_classes_partition_the_grid():
-    rng = np.random.default_rng(3)
-    labels = rng.integers(0, 4, size=(6, 7))
-    total = sum(one_vs_rest(labels, c, n_classes=4).astype(int) for c in range(4))
-    assert (total == 1).all()
-
-
-def test_one_vs_rest_rejects_out_of_range_class():
-    with pytest.raises(ValueError):
-        one_vs_rest(np.zeros((2, 2), dtype=np.int64), 2, n_classes=2)
-
-
-def test_dice_per_class_macro_mean():
-    a = np.array([[0, 1], [2, 2]])
-    b = np.array([[0, 1], [2, 0]])
-    per, macro = dice_per_class(a, b, n_classes=3)
-    assert per[1] == 1.0
-    assert macro == pytest.approx(sum(per) / 3.0)
 
 
 def test_threshold_is_inclusive_on_both_modes():

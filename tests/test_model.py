@@ -21,7 +21,6 @@ from segnoise import (
     bayes_mask_one_step,
     centered_disk,
     dice,
-    fit_logistic,
     loss_and_grad,
     perturbed_oracle,
     run_pipeline,
@@ -108,7 +107,7 @@ def test_non_finite_logits_give_a_non_finite_loss(w0, label):
 def test_overflowing_fit_still_reports_divergence():
     images, labels = toy_data(noise=0.2)
     with pytest.raises(TrainingDivergedError):
-        fit_logistic(images, labels, TrainConfig(learning_rate=1e300, epochs=20))
+        LogisticSegmenter(TrainConfig(learning_rate=1e300, epochs=20)).fit(images, labels)
 
 
 def test_identical_refit_is_a_no_op(monkeypatch):
@@ -162,14 +161,14 @@ def test_pipeline_sc_arm_matches_a_fresh_segmenter():
 
 def test_separable_data_reaches_perfect_training_accuracy():
     images, labels = toy_data(noise=0.0)
-    model = fit_logistic(images, labels, TrainConfig(epochs=300))
+    model = LogisticSegmenter(TrainConfig(epochs=300)).fit(images, labels)
     for img, lbl in zip(images, labels):
         assert np.array_equal(threshold(model.predict_logits(img), 0.0, mode="ge"), lbl)
 
 
 def test_loss_is_nonincreasing_within_tolerance():
     images, labels = toy_data(noise=0.3)
-    model = fit_logistic(images, labels, TrainConfig(epochs=120))
+    model = LogisticSegmenter(TrainConfig(epochs=120)).fit(images, labels)
     losses = np.asarray(model.losses)
     assert (np.diff(losses) <= 1e-9).all()
 
@@ -177,8 +176,8 @@ def test_loss_is_nonincreasing_within_tolerance():
 def test_label_flip_negates_the_logits():
     images, labels = toy_data(noise=0.2, seed=3)
     cfg = TrainConfig(epochs=80)
-    a = fit_logistic(images, labels, cfg)
-    b = fit_logistic(images, [~l for l in labels], cfg)
+    a = LogisticSegmenter(cfg).fit(images, labels)
+    b = LogisticSegmenter(cfg).fit(images, [~l for l in labels])
     for img in images:
         assert np.allclose(a.predict_logits(img), -b.predict_logits(img), atol=1e-8)
 
@@ -186,15 +185,15 @@ def test_label_flip_negates_the_logits():
 def test_fit_is_deterministic():
     images, labels = toy_data(noise=0.2, seed=9)
     cfg = TrainConfig(epochs=60)
-    w1 = fit_logistic(images, labels, cfg).weights
-    w2 = fit_logistic(images, labels, cfg).weights
+    w1 = LogisticSegmenter(cfg).fit(images, labels).weights
+    w2 = LogisticSegmenter(cfg).fit(images, labels).weights
     assert np.array_equal(w1, w2)
 
 
 def test_divergence_is_reported():
     images, labels = toy_data(noise=0.2)
     with pytest.raises(TrainingDivergedError):
-        fit_logistic(images, labels, TrainConfig(learning_rate=1e12, epochs=60))
+        LogisticSegmenter(TrainConfig(learning_rate=1e12, epochs=60)).fit(images, labels)
 
 
 def test_predict_before_fit_is_an_error():
@@ -205,7 +204,7 @@ def test_predict_before_fit_is_an_error():
 
 def test_json_round_trip(tmp_path):
     images, labels = toy_data(noise=0.2, seed=2)
-    model = fit_logistic(images, labels, TrainConfig(epochs=60))
+    model = LogisticSegmenter(TrainConfig(epochs=60)).fit(images, labels)
     blob = model.to_json()
     again = LogisticSegmenter.from_json(blob)
     for img in images:
@@ -269,7 +268,7 @@ def test_perturbed_oracle_exact_when_error_budget_is_zero():
 # ------------------------------------------------------- external trainer
 
 
-def _respond(root, n_train, n_val, scale=1.0):
+def _respond(root, n_train, n_val, scale=1.0, shape=(8, 8)):
     """Background stand-in for an external training process."""
     import time
 
@@ -285,7 +284,7 @@ def _respond(root, n_train, n_val, scale=1.0):
     (rdir / "logits").mkdir()
     for kind, count in (("train", n_train), ("val", n_val)):
         for i in range(count):
-            field = np.full((8, 8), scale * (i + 1), dtype=np.float64)
+            field = np.full(shape, scale * (i + 1), dtype=np.float64)
             save_field(field, rdir / "logits" / f"{kind}_{i:05d}.gtf")
     (rdir / "DONE").touch()
 
@@ -309,6 +308,18 @@ def test_external_round_trip(tmp_path):
     assert np.array_equal(seg.predict_logits(val[0]), np.full((8, 8), 1.0))
     with pytest.raises(KeyError):
         seg.predict_logits(np.ones((8, 8)))
+
+
+def test_external_fit_rejects_logits_of_the_wrong_shape(tmp_path):
+    train = [np.zeros((8, 8)), np.ones((8, 8))]
+    seg = ExternalSegmenter(tmp_path, train, [np.zeros((8, 8))], poll_interval=0.02, timeout=30.0)
+    worker = threading.Thread(target=_respond, args=(tmp_path, 2, 1), kwargs={"shape": (8, 7)})
+    worker.start()
+    try:
+        with pytest.raises(ValueError, match=r"train_00000\.gtf.*\(8, 7\).*\(8, 8\)"):
+            seg.fit(train, [np.zeros((8, 8), dtype=bool)] * 2)
+    finally:
+        worker.join()
 
 
 def test_external_fit_times_out_without_a_responder(tmp_path):

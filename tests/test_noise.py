@@ -13,13 +13,11 @@ from segnoise import (
     bayes_mask_one_step,
     boundaries,
     centered_disk,
-    dilate_erode_noise,
     dilate_one,
     erode_one,
     expected_label_mc,
     generate,
     load_presets,
-    markov_step,
     preset,
     signed_distance,
 )
@@ -100,30 +98,27 @@ def test_config_rejects_unknown_or_missing_keys(tmp_path):
 
 def test_step_hand_examples():
     m = np.array([[0, 0, 1, 0, 0]], dtype=bool)
-    ones = np.ones_like(m)
-    assert markov_step(m, True, ones).tolist() == [[False, True, True, True, False]]
-    assert not markov_step(m, False, ones).any()
-    assert np.array_equal(markov_step(m, True, np.zeros_like(m)), m)
+    grow, shrink = params(theta1=1.0, theta2=1.0), params(theta1=0.0, theta2=1.0)
+    assert generate(m, grow).tolist() == [[False, True, True, True, False]]
+    assert not generate(m, shrink).any()
+    assert np.array_equal(generate(m, params(theta1=1.0, theta2=0.0)), m)
 
 
 @given(
-    hnp.arrays(np.bool_, (6, 7)),
+    st.one_of(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)),
+              hnp.arrays(np.bool_, hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5))),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 def test_step_changes_only_its_boundary_layer(m, expand, seed):
-    z2 = np.random.default_rng(seed).random(m.shape) < 0.5
-    out = markov_step(m, expand, z2)
-    changed = out != m
     fg_b, bg_b = brute_boundaries(m)
     layer = bg_b if expand else fg_b
+    out = generate(m, params(theta1=float(expand), theta2=0.5, seed=seed))
+    changed = out != m
     assert not (changed & ~layer).any()
     assert np.array_equal(out[changed], np.full(int(changed.sum()), expand))
-
-
-def test_step_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        markov_step(np.zeros((2, 2), dtype=bool), True, np.zeros((2, 3), dtype=bool))
+    # with every coin a winner, the step flips the whole layer, edges included
+    assert np.array_equal(generate(m, params(theta1=float(expand), theta2=1.0)), m ^ layer)
 
 
 # ---------------------------------------------------------------- generate
@@ -293,44 +288,6 @@ def test_one_step_map_boundary_cases(disk9):
     # expansion wins on the exact 0.5 product; the shrink test is strict
     assert np.array_equal(bayes_mask_one_step(disk9, 0.5, 1.0), dilate_one(disk9))
     assert np.array_equal(bayes_mask_one_step(disk9, 1.0, 0.5), dilate_one(disk9))
-
-
-# ---------------------------------------------------------------- blunt noise
-
-
-def test_blunt_noise_is_one_of_the_two_morphs(disk9):
-    seen = set()
-    for seed in range(30):
-        out = dilate_erode_noise(disk9, max_pixels=1, seed=seed)
-        if np.array_equal(out, dilate_one(disk9)):
-            seen.add("dilate")
-        else:
-            assert np.array_equal(out, erode_one(disk9))
-            seen.add("erode")
-    assert seen == {"dilate", "erode"}
-
-
-def test_blunt_noise_erosion_stops_at_empty():
-    one = np.zeros((5, 5), dtype=bool)
-    one[2, 2] = True
-    saw_empty = False
-    for seed in range(30):
-        out = dilate_erode_noise(one, max_pixels=3, seed=seed)
-        if not out.any():
-            saw_empty = True
-        else:
-            assert out.sum() > 1  # otherwise it was a dilation
-    assert saw_empty
-
-
-def test_blunt_noise_direction_frequencies(disk9):
-    n = 10000
-    dil = 0
-    for seed in range(n):
-        out = dilate_erode_noise(disk9, max_pixels=1, seed=seed)
-        dil += int(out.sum() > disk9.sum())
-    sigma = np.sqrt(0.25 / n)
-    assert abs(dil / n - 0.5) < 3 * sigma
 
 
 # ---------------------------------------------------------------- misc
