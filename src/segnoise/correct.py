@@ -227,10 +227,12 @@ def spatial_correction(train_images: Sequence[np.ndarray],
     round budget remains, rewrites every training label by thresholding the
     bias-corrected logits at zero. Degenerate predictions are skipped: on
     validation they are dropped from the estimate, on training the image
-    keeps its current label.
+    keeps its current label. If every validation prediction of a refit is
+    degenerate, the loop stops there with a warning and keeps what it has;
+    after the initial fit that raises instead.
 
     ``train_truth`` is only used for reporting. Returns the final model, the
-    final labels, and one IterationRecord per fit.
+    final labels, and one IterationRecord per fit whose bias was estimated.
     """
     params = params or CorrectionParams()
     if len(train_images) != len(train_labels) or not train_images:
@@ -267,6 +269,11 @@ def spatial_correction(train_images: Sequence[np.ndarray],
             logits, psdf = _predicted_sdf(model, img)
             pred_sdfs.append(psdf if vsdf is not None else None)
             dscs.append(dice(threshold(logits, 0.0, mode="ge"), vmask))
+        if iteration > 0 and all(p is None for p in pred_sdfs):
+            log.warning("stopping at round %d: no validation prediction of its refit "
+                        "has a boundary, so no bias can be estimated; keeping the "
+                        "labels and the records so far", iteration)
+            break
         est = estimate_bias(pred_sdfs, val_sdfs)
         records.append(IterationRecord(iteration=iteration, delta_hat=est.delta_hat,
                                        lambda_mean=lam_mean,

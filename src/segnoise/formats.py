@@ -150,7 +150,11 @@ def _pgm_token(path, data: bytes, pos: int) -> tuple[int, int, int]:
         pos += 1
     if start == pos:
         raise FormatError(path, start, "malformed header token (expected an integer)")
-    return int(data[start:pos]), start, pos
+    digits = data[start:pos].lstrip(b"0") or b"0"
+    # no valid header holds a value of 10**18 or more; int() refuses past 4300 digits
+    if len(digits) > 18:
+        raise FormatError(path, start, f"header integer has {len(digits)} digits, too large")
+    return int(digits), start, pos
 
 
 def load_pgm(path) -> np.ndarray:
@@ -165,7 +169,9 @@ def load_pgm(path) -> np.ndarray:
         raise FormatError(path, mstart, f"maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise FormatError(path, 2, f"extents must be positive, got {width}x{height}")
-    pos += 1  # exactly one whitespace byte separates the header from the raster
+    if pos == len(data) or data[pos] not in b" \t\r\n":
+        raise FormatError(path, pos, "expected one whitespace byte between maxval and raster")
+    pos += 1
     if len(data) - pos != width * height:
         raise FormatError(path, pos, f"raster is {len(data) - pos} bytes, expected {width * height}")
     raster = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)

@@ -279,6 +279,10 @@ class ExternalSegmenter:
     * this class polls for ``DONE`` every ``poll_interval`` seconds, loads
       the logits, and serves them from memory; ``predict_logits`` matches
       images by content hash, so it only answers for the registered images.
+
+    Rounds are numbered from 0 in every instance, so ``root`` must not hold
+    a ``round_NNN/`` directory of an earlier run: the constructor raises
+    ``ValueError`` naming it before writing anything.
     """
 
     def __init__(self, root, train_images, val_images,
@@ -287,6 +291,11 @@ class ExternalSegmenter:
 
         self._formats = formats
         self.root = Path(root)
+        used = sorted(p.name for p in self.root.glob("round_*")
+                      if p.is_dir() and p.name[len("round_"):].isdigit())
+        if used:
+            raise ValueError(f"{self.root / used[0]} is left from an earlier run; "
+                             "give the external trainer an empty directory")
         self.poll_interval = float(poll_interval)
         self.timeout = timeout
         self._train = [as_field(x) for x in train_images]

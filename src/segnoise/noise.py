@@ -18,6 +18,14 @@ first, then one coin per boundary site in row-major order; flip coins come
 last, one per stable site in row-major order. Monte Carlo helpers derive one
 child seed per sample from the base seed, so sample i is the same no matter
 how many samples are drawn around it.
+
+A step can change only its own boundary layer, so the walk keeps both layers
+and after each step recomputes membership only at the flipped sites and
+their neighbours. Apart from one pass over a boolean array that lists the
+chosen layer's sites in row-major order, a step costs time in proportion to
+its boundary band rather than to the grid. Monte Carlo samples share one
+starting state, so the first step's bands are built once per call. Neither
+changes the draw order above.
 """
 
 from __future__ import annotations
@@ -158,17 +166,50 @@ def load_presets(path) -> dict[str, MarkovNoiseParams]:
     return out
 
 
+def _walk_state(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk's starting point: the mask as an int8 grid padded by one ring
+    of -1 sites, then its shrink and expand boundary layers padded with False.
+
+    The ring makes every in-grid site's neighbours addressable without edge
+    cases or wrapping, and it holds no boundary site, so the row-major order
+    of a padded layer's sites is that of the unpadded grid.
+    """
+    return (np.pad(mask.astype(np.int8), 1, constant_values=-1),
+            np.pad(boundary_layer(mask, False), 1),
+            np.pad(boundary_layer(mask, True), 1))
+
+
 def _run_process(mask: np.ndarray, params: MarkovNoiseParams,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Drive the full process with a caller-supplied generator."""
-    out = mask.copy()
-    flat = out.reshape(-1)
-    for _ in range(params.steps):
+                 rng: np.random.Generator, state=None) -> np.ndarray:
+    """Drive the full process with a caller-supplied generator.
+
+    ``state`` is ``_walk_state(mask)`` for callers that walk one mask many
+    times; it is read, never written.
+    """
+    grid, *layers = _walk_state(mask) if state is None else state
+    grid = grid.copy()
+    if params.steps > 1:  # the last step leaves the layers as they are
+        layers = [a.copy() for a in layers]
+        strides = np.array(grid.strides)  # in sites: int8 takes one byte
+        around = np.concatenate(([0], strides, -strides))  # a site, then its neighbours
+    flat = grid.reshape(-1)
+    bands = [a.reshape(-1) for a in layers]  # indexed by the expand coin
+    for step in range(params.steps):
         expand = rng.random() < params.theta1
-        sites = np.flatnonzero(boundary_layer(out, expand))  # row-major draw order
+        sites = np.flatnonzero(bands[expand])  # row-major draw order
         if sites.size:
-            march = rng.random(sites.size) < params.theta2
-            flat[sites[march]] = expand
+            flipped = sites[rng.random(sites.size) < params.theta2]
+            flat[flipped] = expand
+            if flipped.size and step + 1 < params.steps:
+                # only a flipped site and its neighbours can change layers
+                near = (flipped[:, None] + around).reshape(-1)
+                near = near[flat[near] >= 0]
+                label = flat[near]
+                nbrs = flat[around[1:, None] + near]  # one row per direction
+                bands[0][near] = (label == 1) & (nbrs == 0).any(axis=0)
+                bands[1][near] = (label == 0) & (nbrs == 1).any(axis=0)
+    out = grid[(slice(1, -1),) * grid.ndim] == 1
+    flat = out.reshape(-1)
     if params.smooth_sigma > 0:
         blurred = ndimage.gaussian_filter(out.astype(np.float64), params.smooth_sigma,
                                           mode="constant", cval=0.0, truncate=3.0)
@@ -200,11 +241,12 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     children = np.random.SeedSequence(params.seed).spawn(n_samples)
+    state = _walk_state(m)  # every sample starts from the same bands
 
     def count_range(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(m.shape, dtype=np.int64)
         for i in range(lo, hi):
-            counts += _run_process(m, params, np.random.default_rng(children[i]))
+            counts += _run_process(m, params, np.random.default_rng(children[i]), state)
         return counts
 
     threads = max(1, int(threads))

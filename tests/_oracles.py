@@ -6,6 +6,7 @@ from hand-rolled neighbor loops, expectations from closed-form arithmetic.
 """
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -25,6 +26,32 @@ def brute_boundaries(mask):
             has_fg_neighbor[tuple(lo)] |= nb
             has_bg_neighbor[tuple(lo)] |= ~nb
     return m & has_bg_neighbor, ~m & has_fg_neighbor
+
+
+def reference_walk(mask, steps, theta1, theta2, theta3, smooth_sigma, rng):
+    """The noise process as documented, recomputing both boundary layers by
+    brute_boundaries at every step: per step one direction draw, then one
+    coin per site of the chosen layer in row-major order; then the optional
+    blur (truncated at 3 sigma, zero outside) re-thresholded at 1/2; then one
+    flip coin per stable site in row-major order."""
+    m = np.asarray(mask, dtype=bool)
+    cur = m.copy()
+    for _ in range(steps):
+        expand = rng.random() < theta1
+        fg_b, bg_b = brute_boundaries(cur)
+        sites = np.flatnonzero(bg_b if expand else fg_b)
+        if sites.size:
+            hit = sites[rng.random(sites.size) < theta2]
+            cur.flat[hit] = expand
+    if smooth_sigma > 0:
+        cur = gaussian_filter(cur.astype(np.float64), smooth_sigma, mode="constant",
+                              cval=0.0, truncate=3.0) >= 0.5
+    if theta3 > 0:
+        stable = np.flatnonzero(cur == m)
+        if stable.size:
+            hit = stable[rng.random(stable.size) < theta3]
+            cur.flat[hit] = ~cur.flat[hit]
+    return cur
 
 
 def brute_signed_distance(mask):

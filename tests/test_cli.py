@@ -376,6 +376,21 @@ def test_sc_run_local_trainer(tmp_path, capsys):
     assert (out / "model.json").exists()
 
 
+def test_sc_run_refuses_a_used_external_dir(tmp_path, capsys):
+    images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
+    ext = tmp_path / "ext"
+    (ext / "round_000" / "labels").mkdir(parents=True)
+    (ext / "round_000" / "DONE").touch()
+    rc, _, err = run(capsys, "sc-run", "--train-images", str(images_dir),
+                     "--train-labels", str(masks_dir), "--val-images", str(images_dir),
+                     "--val-masks", str(masks_dir), "--external-dir", str(ext),
+                     "--timeout", "1", "--out", str(tmp_path / "run"))
+    assert rc == 2
+    assert err.startswith("error: ") and str(ext / "round_000") in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in ext.iterdir()) == ["round_000"]  # no image written
+
+
 # ---------------------------------------------------------------- verify
 
 

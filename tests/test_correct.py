@@ -270,6 +270,55 @@ def test_loop_rejects_all_degenerate_validation():
         spatial_correction([img], [m], [img], [degenerate], MemorizingStub())
 
 
+class BlankAfterFits(MemorizingStub):
+    """A MemorizingStub whose fits after the first ``good`` predict background
+    everywhere, so that none of their predictions has a boundary."""
+
+    def __init__(self, good):
+        super().__init__()
+        self.good = good
+        self.fits = 0
+
+    def fit(self, images, labels, seed=None):
+        self.fits += 1
+        return super().fit(images, labels, seed)
+
+    def predict_logits(self, image):
+        if self.fits > self.good:
+            return np.full(np.shape(image), -1.0)
+        return super().predict_logits(image)
+
+
+def test_loop_keeps_its_records_when_a_refit_goes_blank(tmp_path, caplog):
+    # the stall setup of the test above, with a model that forgets everything
+    # on its first refit: the loop must stop there, not raise
+    masks = [centered_disk((15, 15), radius=4), centered_disk((15, 15), radius=3)]
+    images = [m.astype(np.float64) * (i + 1.0) for i, m in enumerate(masks)]
+    noisy = [dilate_one(m) for m in masks]
+    report = tmp_path / "r.csv"
+    model = BlankAfterFits(good=1)
+    with caplog.at_level("WARNING", logger="segnoise.correct"):
+        result = spatial_correction(images, noisy, images, masks, model,
+                                    CorrectionParams(max_iters=3), train_truth=masks,
+                                    report_path=report)
+    assert model.fits == 2
+    assert result.model is model
+    assert [r.iteration for r in result.records] == [0]
+    assert -2.0 < result.records[0].delta_hat < -1.0
+    for lbl, noisy_lbl in zip(result.labels, noisy):
+        assert np.array_equal(lbl, noisy_lbl)
+    assert "stopping at round 1: no validation prediction" in caplog.text
+    text = report.read_text().splitlines()
+    assert text[0] == "iter,delta_hat,lambda_mean,train_label_dsc_vs_truth,val_dsc"
+    assert len(text) == 2 and text[1].startswith("0,")
+
+    # a blank initial fit leaves nothing to keep, so it still raises
+    with pytest.raises(ValueError, match="every validation pair was skipped"):
+        spatial_correction(images, noisy, images, masks, BlankAfterFits(good=0),
+                           CorrectionParams(max_iters=3), report_path=tmp_path / "r0.csv")
+    assert not (tmp_path / "r0.csv").exists()
+
+
 def test_report_formats_missing_lambda_as_empty(tmp_path):
     rec = [
         IterationRecord(0, -1.5, float("nan"), 0.9, 0.8),

@@ -1,9 +1,12 @@
 """GTF container and binary PGM: round trips and precise failure offsets."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segnoise import (
     FormatError,
@@ -167,6 +170,14 @@ def test_pgm_rejects_other_variants(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255]))
     with pytest.raises(FormatError):
         load_pgm(p)
+    # no whitespace byte after maxval, the file ending at maxval, an extent
+    # too long for int()
+    for raw, offset in ((b"P5 2 1 255X" + bytes([0, 255]), 10), (b"P5 2 1 255", 10),
+                        (b"P5 " + b"9" * 5000 + b" 1 255\n" + bytes(1), 3)):
+        p.write_bytes(raw)
+        with pytest.raises(FormatError) as err:
+            load_pgm(p)
+        assert err.value.offset == offset
 
 
 def test_pgm_is_2d_only(tmp_path):
@@ -198,3 +209,60 @@ def test_field_io_round_trip(tmp_path, rng):
     f = rng.standard_normal((4, 4)).astype(np.float32)
     save_field(f, tmp_path / "f.gtf")
     assert np.array_equal(load_field(tmp_path / "f.gtf"), f)
+
+
+# ------------------------------------------------------------------- fuzz
+
+
+@st.composite
+def gtf_like(draw):
+    """Bytes that get past the magic check: a drawn header, then a payload
+    whose length is the declared one give or take a byte."""
+    ndim = draw(st.integers(0, 4))
+    code = draw(st.integers(0, 2))
+    extents = draw(st.lists(st.integers(0, 5) | st.sampled_from([2**22, 2**32 - 1]),
+                            min_size=ndim, max_size=ndim))
+    head = b"GTF1" + bytes([code, ndim]) + struct.pack("<H", draw(st.sampled_from([0, 0, 1])))
+    head += struct.pack(f"<{ndim}I", *extents)
+    head = head[:draw(st.integers(0, len(head)))] if draw(st.booleans()) else head
+    size = int(np.prod(extents, dtype=object)) * (4 if code == 1 else 1)
+    size = min(size, 400) + draw(st.integers(-1, 1))
+    return head + draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+
+
+@st.composite
+def pgm_like(draw):
+    """Bytes that get past the magic check: header tokens (digit runs of any
+    length, signs, comments, odd separators), then a raster whose length is
+    the declared one give or take a byte."""
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" # note\n", b"#", b"", b"x"])
+    token = (st.text("0123456789", max_size=12).map(str.encode)
+             | st.integers(4000, 6000).map(lambda n: b"0" * (n % 2) + b"9" * n)
+             | st.sampled_from([b"0", b"1", b"2", b"255", b"65535", b"-1", b"+3", b"2.5"]))
+    tokens = draw(st.lists(token, min_size=0, max_size=3))
+    head = b"P5" + b"".join(draw(sep) + t for t in tokens) + draw(sep)
+    w, h = (int(t) if t.isdigit() and len(t) < 5 else 3 for t in (tokens + [b"", b""])[:2])
+    size = min(w * h, 400) + draw(st.integers(-1, 1))
+    return head + draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+
+
+@given(st.binary(max_size=64) | gtf_like() | pgm_like())
+def test_loaders_return_an_array_or_name_a_byte_offset(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("fuzz", numbered=True)
+    for name, load, kinds in (("x.gtf", load_gtf, (bool, np.float32)),
+                              ("x.gtf", load_mask, (bool,)),
+                              ("x.gtf", load_field, (np.float32,)),
+                              ("x.pgm", load_pgm, (bool,)),
+                              ("x.pgm", load_mask, (bool,))):
+        path = root / name
+        path.write_bytes(data)
+        try:
+            out = load(path)
+        except FormatError as e:
+            assert 0 <= e.offset <= len(data)
+            assert re.search(rf"at byte {e.offset}\b", str(e))
+            continue
+        assert isinstance(out, np.ndarray) and out.dtype in kinds
+        assert out.ndim in ((2,) if name == "x.pgm" else (2, 3)) and min(out.shape) >= 1
+        if out.dtype == np.float32:
+            assert np.isfinite(out).all()

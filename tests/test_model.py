@@ -310,6 +310,27 @@ def test_external_round_trip(tmp_path):
         seg.predict_logits(np.ones((8, 8)))
 
 
+def test_external_refuses_a_root_holding_an_earlier_round(tmp_path):
+    train = [np.zeros((8, 8)), np.ones((8, 8))]
+    seg = ExternalSegmenter(tmp_path, train, [], poll_interval=0.02, timeout=30.0)
+    worker = threading.Thread(target=_respond, args=(tmp_path, 2, 0))
+    worker.start()
+    try:
+        seg.fit(train, [np.zeros((8, 8), dtype=bool)] * 2)
+    finally:
+        worker.join()
+    before = {p: p.read_bytes() for p in (tmp_path / "images").iterdir()}
+    # a second run on the same root would reuse round_000 and its DONE sentinel
+    with pytest.raises(ValueError, match=r"round_000 is left from an earlier run"):
+        ExternalSegmenter(tmp_path, [np.full((8, 8), 5.0)], [], poll_interval=0.02)
+    assert {p: p.read_bytes() for p in (tmp_path / "images").iterdir()} == before
+    # other names under the root are no obstacle
+    other = tmp_path / "other"
+    (other / "round_notes").mkdir(parents=True)
+    (other / "round_001.txt").touch()
+    ExternalSegmenter(other, train, [], poll_interval=0.02)
+
+
 def test_external_fit_rejects_logits_of_the_wrong_shape(tmp_path):
     train = [np.zeros((8, 8)), np.ones((8, 8))]
     seg = ExternalSegmenter(tmp_path, train, [np.zeros((8, 8))], poll_interval=0.02, timeout=30.0)

@@ -1,5 +1,8 @@
 """Boundary-walk label noise: stepping, sampling, presets, closed forms."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from scipy.ndimage import gaussian_filter
 from segnoise import (
     PRESETS,
     MarkovNoiseParams,
+    SynthSpec,
     bayes_mask_one_step,
     boundaries,
     centered_disk,
@@ -20,12 +24,14 @@ from segnoise import (
     load_presets,
     preset,
     signed_distance,
+    synth_masks,
 )
 from _oracles import (
     boundary_mean_sigma,
     brute_boundaries,
     one_step_expectation,
     random_mask,
+    reference_walk,
 )
 
 
@@ -224,7 +230,76 @@ def test_generate_matches_documented_draw_order():
     assert np.array_equal(generate(mask, p), expect)
 
 
+def _digest(mask):
+    return hashlib.sha256(np.ascontiguousarray(mask, dtype=np.uint8).tobytes()).hexdigest()
+
+
+# Recorded from the full-grid walk that recomputed both layers by morphology
+# at every step; the incremental walk must reproduce every bit. The masks are
+# those `segnoise synth --count 1 --size SHAPE --family ellipse-unions --seed S`
+# writes.
+WALK_DIGESTS = [
+    ((256, 256), 21, "01a8bf39e23a16dfa5956ff11937ac9889ed09a0aefe00112bd6a2fb63f443a2", "jsrt-lung-se",
+     {1: "016f82ba737de9368a52da31cfe19eb00a6ea929e5c35b671db58207a436655b",
+      2: "9088b09cb744fa4a85552b3e191b8586712c732bd6e4982419e1eb18e247bf33"}),
+    ((64, 64, 64), 31, "4eaaaaa2b06e90fa18a8a6f38b87e17998b48580488ac17ad8745a613458c32b", "brats-se",
+     {1: "c030e591c7a4b55f9e892c9139a37eda95f30b2f24c4ecd47f93c402c05b9197",
+      2: "d832a2f41daed6ccc54d3d8d493f2357572f68b9673815a0e0a8aec24658a2e4"}),
+]
+
+
+@pytest.mark.parametrize("shape,mask_seed,mask_digest,name,walks", WALK_DIGESTS,
+                         ids=["256x256", "64x64x64"])
+def test_paper_scale_walks_keep_their_bits(shape, mask_seed, mask_digest, name, walks):
+    (mask,) = synth_masks(SynthSpec(count=1, shape=shape, family="ellipse-unions", seed=mask_seed))
+    assert _digest(mask) == mask_digest  # the input, so a synth change is not blamed on the walk
+    for seed, digest in walks.items():
+        assert _digest(generate(mask, replace(preset(name), seed=seed))) == digest
+
+
+def _shapes():
+    return (hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
+            | hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=8))
+
+
+# random masks touch the grid edge more often than not; uniform ones have no layer
+_masks = st.one_of(_shapes().flatmap(lambda s: hnp.arrays(np.bool_, s)),
+                   st.tuples(_shapes(), st.booleans()).map(lambda a: np.full(*a)))
+
+
+@given(_masks,
+       st.integers(0, 12),
+       st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.sampled_from([0.0]) | st.floats(0.0, 0.09),
+       st.sampled_from([0.0]) | st.floats(0.3, 1.5),
+       st.integers(0, 2**32 - 1))
+def test_generate_equals_the_reference_walk(m, steps, t1, t2, t3, sigma, seed):
+    p = MarkovNoiseParams(steps=steps, theta1=t1, theta2=t2, theta3=t3, smooth_sigma=sigma,
+                          seed=seed)
+    expect = reference_walk(m, steps, t1, t2, t3, sigma, np.random.default_rng(seed))
+    assert np.array_equal(generate(m, p), expect)
+
+
 # ---------------------------------------------------------------- sampling
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_is_the_mean_of_generate_over_the_child_seeds(threads):
+    # expected_label_mc hands every sample one shared starting state; each
+    # sample must still be the walk that generate takes from its child seed
+    rng = np.random.default_rng(5)
+    cases = [(centered_disk((17, 17), radius=4), params(theta1=0.7, theta2=0.6, theta3=0.05, seed=5)),
+             (random_mask(rng, (9, 11)), params(steps=4, theta1=0.5, theta2=0.7, seed=6)),
+             (random_mask(rng, (5, 4, 6)),
+              params(steps=3, theta1=0.4, theta2=0.5, theta3=0.02, smooth_sigma=0.8, seed=7))]
+    n = 30
+    for mask, p in cases:
+        children = np.random.SeedSequence(p.seed).spawn(n)
+        # generate seeds its stream with default_rng(params.seed), which takes a SeedSequence
+        votes = sum(generate(mask, replace(p, seed=c)).astype(np.int64) for c in children)
+        assert np.array_equal(expected_label_mc(mask, p, n, threads=threads), votes / n)
+
 
 
 def test_mc_with_dead_coins_equals_the_mask(disk9):
