@@ -7,20 +7,14 @@ it. With an exact one-step predictor a single clean image is enough for a
 perfect recovery.
 """
 
-import numpy as np
-
-from segnoise import (MarkovNoiseParams, OracleErrorSpec, centered_disk, dice,
-                      estimate_bias, naive_correct, perturbed_oracle,
-                      signed_distance)
+from segnoise import (bayes_mask_one_step, centered_disk, dice, estimate_bias,
+                      naive_correct, signed_distance)
 
 masks = [centered_disk((48, 48), radius=r) for r in (8, 11, 14, 17)]
-noise = MarkovNoiseParams(steps=1, theta1=0.7, theta2=0.9)
 
-# the most-likely mask after one expansion-biased step is the one-pixel
-# dilation; eps0=0 means the oracle applies no extra per-image offset
-oracle = perturbed_oracle(masks, noise, OracleErrorSpec(eps0=0.0, eps1=2.0))
-
-biased = [oracle.predict_sdf(i) for i in range(len(masks))]
+# the most-likely mask after one expansion-biased step (theta1=0.7,
+# theta2=0.9) is the one-pixel dilation; this predictor returns its SDF
+biased = [signed_distance(bayes_mask_one_step(m, 0.7, 0.9)) for m in masks]
 print("dice of the biased predictions:",
       [round(dice(phi <= 0, m), 3) for phi, m in zip(biased, masks)])
 
@@ -33,10 +27,10 @@ print("\ndice after shifting the field by delta_hat and re-thresholding:",
       [round(dice(r, m), 3) for r, m in zip(recovered, masks)])
 assert all(dice(r, m) == 1.0 for r, m in zip(recovered, masks))
 
-# imperfect predictors: per-image offsets with mean magnitude eps0 make the
-# estimate noisy, and more validation images buy it back
-noisy_oracle = perturbed_oracle(masks, noise, OracleErrorSpec(eps0=1.0, eps1=2.0, seed=3))
-preds = [noisy_oracle.predict_sdf(i) for i in range(len(masks))]
+# imperfect predictors: per-image offsets with mean magnitude eps0 = 1 (at
+# most eps1 = 2) make the estimate noisy, and more validation images buy it back
+offsets = (2.0, 2.0, 0.0, 0.0)
+preds = [phi + a for phi, a in zip(biased, offsets)]
 for v in (1, 4):
     est = estimate_bias(preds[:v], [signed_distance(m) for m in masks[:v]])
     print(f"\nwith per-image offsets, V={v}: delta_hat = {est.delta_hat:+.4f}")

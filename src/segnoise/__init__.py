@@ -23,12 +23,10 @@ from .harness import (PipelineResult, SynthSpec, TrialReport, centered_disk,
                       interior_hole_flips, run_pipeline, sweep, synth_dataset,
                       synth_masks, verify_bayes_mask, verify_validation_bound,
                       write_trial_report)
-from .model import (ExternalSegmenter, LogisticSegmenter, OracleErrorSpec,
-                    PerturbedOracle, Segmenter, TrainConfig,
-                    TrainingDivergedError, loss_and_grad, perturbed_oracle)
-from .noise import (PRESETS, MarkovNoiseParams, NoisePreset,
-                    bayes_mask_one_step, expected_label_mc, generate,
-                    load_presets, preset)
+from .model import (ExternalSegmenter, LogisticSegmenter, Segmenter,
+                    TrainConfig, TrainingDivergedError, loss_and_grad)
+from .noise import (PRESETS, MarkovNoiseParams, bayes_mask_one_step,
+                    expected_label_mc, generate, load_presets, preset)
 from .sdf import DegenerateMaskError, sdf_gap, signed_distance
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ from .grid import threshold
 from .harness import (SynthSpec, centered_disk, sweep, synth_dataset,
                       verify_bayes_mask, verify_validation_bound,
                       write_trial_report)
-from .model import ExternalSegmenter, LogisticSegmenter, TrainConfig
+from .model import (ExternalSegmenter, LogisticSegmenter, TrainConfig,
+                    TrainingDivergedError)
 from .noise import PRESETS, MarkovNoiseParams, generate, load_presets
 from .sdf import DegenerateMaskError, signed_distance
 
@@ -125,7 +126,7 @@ def _cmd_synth(args) -> int:
 
 
 def _resolve_noise_params(args) -> MarkovNoiseParams:
-    presets = {name: p.params for name, p in PRESETS.items()}
+    presets = dict(PRESETS)
     if args.config:
         presets.update(load_presets(args.config))
     base = None
@@ -231,6 +232,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_sc_run(args) -> int:
+    params = CorrectionParams(gamma=args.gamma, max_iters=args.max_iters,
+                              stop_threshold=args.stop_threshold)
     train_images = [_load_image(p) for p in _grid_files(args.train_images)]
     label_files = _grid_files(args.train_labels)
     train_labels = [load_mask(p) for p in label_files]
@@ -246,8 +249,6 @@ def _cmd_sc_run(args) -> int:
                                   timeout=args.timeout)
     else:
         model = LogisticSegmenter(_train_cfg(args))
-    params = CorrectionParams(gamma=args.gamma, max_iters=args.max_iters,
-                              stop_threshold=args.stop_threshold)
     result = spatial_correction(train_images, train_labels, val_images, val_masks,
                                 model, params, seed=args.seed, train_truth=truth,
                                 report_path=out / "report.csv")
@@ -422,7 +423,8 @@ def build_parser() -> _Parser:
     p.add_argument("--poll-interval", type=float, default=0.5,
                    help="seconds between checks for the external DONE sentinel")
     p.add_argument("--timeout", type=float, default=None,
-                   help="give up waiting for the external trainer after this many seconds")
+                   help="give up waiting for the external trainer after this many "
+                        "seconds (default: wait forever)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sc_run)
 
@@ -488,7 +490,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (FormatError, DegenerateMaskError, OSError, ValueError, KeyError,
-            json.JSONDecodeError, TimeoutError) as e:
+            json.JSONDecodeError, TimeoutError, TrainingDivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -160,8 +160,9 @@ class CorrectionParams:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.stop_threshold <= 0:
-            raise ValueError("stop_threshold must be positive")
+        if self.stop_threshold < 1.0:
+            # a bias below one lattice layer has no band for lambda_bias to read
+            raise ValueError(f"stop_threshold must be >= 1, got {self.stop_threshold}")
 
 
 @dataclass(frozen=True)

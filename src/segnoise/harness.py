@@ -20,8 +20,9 @@ from .correct import (CorrectionParams, ValidationBoundInputs,
                       required_validation_size, spatial_correction)
 from .formats import save_csv
 from .grid import as_mask, dice, threshold
-from .model import LogisticSegmenter, TrainConfig, draw_offsets
-from .noise import MarkovNoiseParams, bayes_mask_one_step, expected_label_mc, generate
+from .model import LogisticSegmenter, TrainConfig
+from .noise import (MarkovNoiseParams, _one_step_regime, bayes_mask_one_step,
+                    expected_label_mc, generate)
 from .sdf import signed_distance
 
 __all__ = [
@@ -238,30 +239,37 @@ def verify_bayes_mask(mask, theta1: float, theta2: float, theta3: float,
     decided = np.abs(mean - 0.5) > 3.0 * sigma
     mc_mask = mean >= 0.5
     disagree = int((decided & (mc_mask != expected)).sum())
-    if theta1 * theta2 >= 0.5:
-        regime = "expand"
-    elif 1.0 + theta1 * theta2 - theta2 < 0.5:
-        regime = "shrink"
-    else:
-        regime = "identity"
-    report = TrialReport(
+    return TrialReport(
         name="bayes-mask-one-step",
         passed=disagree == 0,
         seed=seed,
         params={"theta1": theta1, "theta2": theta2, "theta3": theta3,
                 "n_samples": n_samples, "grid": "x".join(map(str, m.shape))},
-        measurements={"regime": regime,
+        measurements={"regime": _one_step_regime(theta1, theta2),
                       "decided_fraction": float(decided.mean()),
                       "n_decided": int(decided.sum()),
                       "n_sites": int(m.size),
                       "n_disagree": disagree},
         wall_time_s=time.perf_counter() - t0,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
 # harness 2: empirical check of the validation-set size bound
+
+
+def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> np.ndarray:
+    """Per-image offsets; hit coins are drawn first, then sign coins.
+
+    Offset i is ``sign * eps1 * b`` with ``b ~ Bernoulli(eps0/eps1)`` and a
+    fair sign coin, so the mean magnitude is eps0 and none exceeds eps1.
+    """
+    if eps1 == 0:
+        # eps0 <= eps1 forces eps0 == 0: every offset is exactly zero
+        return np.zeros(n)
+    hit = rng.random(n) < (eps0 / eps1)
+    sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return sign * eps1 * hit
 
 
 def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,

@@ -1,4 +1,4 @@
-"""Trainable per-pixel segmenters and controlled-error oracle predictors.
+"""Trainable per-pixel segmenters.
 
 The segmenter contract is deliberately small: ``fit(images, labels, seed)``
 trains from scratch and ``predict_logits(image)`` returns a per-site score
@@ -20,8 +20,6 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import as_field, as_mask
-from .noise import MarkovNoiseParams, bayes_mask_one_step
-from .sdf import signed_distance
 
 __all__ = [
     "Segmenter",
@@ -29,9 +27,6 @@ __all__ = [
     "TrainingDivergedError",
     "LogisticSegmenter",
     "loss_and_grad",
-    "OracleErrorSpec",
-    "PerturbedOracle",
-    "perturbed_oracle",
     "ExternalSegmenter",
 ]
 
@@ -136,10 +131,12 @@ class LogisticSegmenter:
         """
         if len(images) != len(labels) or not images:
             raise ValueError("need equally many images and label masks, at least one")
+        for i, (img, lbl) in enumerate(zip(images, labels)):
+            if np.shape(img) != np.shape(lbl):
+                raise ValueError(f"image {i} has shape {np.shape(img)}, "
+                                 f"its label has shape {np.shape(lbl)}")
         X = np.concatenate([_features(img, self.cfg.feature_radii) for img in images])
         y = np.concatenate([as_mask(lbl).reshape(-1) for lbl in labels]).astype(np.float64)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("image and label shapes disagree")
         fitted_on = (self.cfg, _digest(X), _digest(y))
         if fitted_on != self._fitted_on:
             w = np.zeros(X.shape[1])
@@ -193,65 +190,6 @@ class LogisticSegmenter:
                                 seed=c["seed"]))
         model.weights = np.asarray(doc["weights"], dtype=np.float64)
         return model
-
-
-@dataclass(frozen=True)
-class OracleErrorSpec:
-    """Controlled additive error for oracle predictors.
-
-    Each image receives a constant offset ``a = sign * eps1 * b`` with
-    ``b ~ Bernoulli(eps0/eps1)`` and a fair sign coin, so the mean absolute
-    offset is exactly eps0 and no offset ever exceeds eps1.
-    """
-
-    eps0: float
-    eps1: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.eps0 < 0:
-            raise ValueError("eps0 must be >= 0")
-        if self.eps1 < self.eps0:
-            raise ValueError("eps1 must be >= eps0")
-
-
-def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> np.ndarray:
-    """Per-image offsets; hit coins are drawn first, then sign coins."""
-    if eps1 == 0:
-        # eps0 <= eps1 forces eps0 == 0: every offset is exactly zero
-        return np.zeros(n)
-    hit = rng.random(n) < (eps0 / eps1)
-    sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return sign * eps1 * hit
-
-
-class PerturbedOracle:
-    """Signed-distance predictor with exactly controlled per-image error.
-
-    Wraps a list of base fields; image i is predicted as base[i] plus a
-    constant offset drawn once at construction.
-    """
-
-    def __init__(self, base_sdfs: Sequence[np.ndarray], err: OracleErrorSpec):
-        self._base = [as_field(f) for f in base_sdfs]
-        self.err = err
-        self.offsets = draw_offsets(np.random.default_rng(err.seed),
-                                    len(self._base), err.eps0, err.eps1)
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def predict_sdf(self, i: int) -> np.ndarray:
-        return self._base[i] + self.offsets[i]
-
-
-def perturbed_oracle(clean_masks, noise_params: MarkovNoiseParams,
-                     err: OracleErrorSpec) -> PerturbedOracle:
-    """Oracle whose base prediction is the one-step most-likely mask's SDF."""
-    base = [signed_distance(bayes_mask_one_step(m, noise_params.theta1,
-                                                noise_params.theta2))
-            for m in clean_masks]
-    return PerturbedOracle(base, err)
 
 
 def _digest(arr: np.ndarray) -> str:

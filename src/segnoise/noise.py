@@ -41,7 +41,6 @@ from .grid import as_mask, boundary_layer, dilate_one, erode_one
 
 __all__ = [
     "MarkovNoiseParams",
-    "NoisePreset",
     "PRESETS",
     "preset",
     "load_presets",
@@ -89,41 +88,31 @@ class MarkovNoiseParams:
             raise ValueError("smooth_sigma must be >= 0")
 
 
-@dataclass(frozen=True)
-class NoisePreset:
-    name: str
-    params: MarkovNoiseParams
-    paper: bool  # False for desk-scale presets meant for small demo grids
-
-
 def _p(steps, theta1, theta2, theta3):
     return MarkovNoiseParams(steps=steps, theta1=theta1, theta2=theta2, theta3=theta3)
 
 
-PRESETS: dict[str, NoisePreset] = {
-    p.name: p
-    for p in [
-        NoisePreset("jsrt-lung-se", _p(180, 0.7, 0.03, 0.1), True),
-        NoisePreset("jsrt-heart-se", _p(180, 0.7, 0.03, 0.1), True),
-        NoisePreset("jsrt-clavicle-se", _p(100, 0.7, 0.03, 0.1), True),
-        NoisePreset("jsrt-lung-ss", _p(200, 0.3, 0.05, 0.1), True),
-        NoisePreset("jsrt-heart-ss", _p(200, 0.3, 0.05, 0.1), True),
-        NoisePreset("jsrt-clavicle-ss", _p(120, 0.3, 0.05, 0.1), True),
-        NoisePreset("isic-se", _p(200, 0.8, 0.05, 0.1), True),
-        NoisePreset("isic-ss", _p(200, 0.2, 0.05, 0.1), True),
-        NoisePreset("brats-se", _p(80, 0.7, 0.05, 0.1), True),
-        NoisePreset("brats-ss", _p(80, 0.3, 0.05, 0.1), True),
-        # desk-scale expansion/shrinkage pair for ~64x64 grids
-        NoisePreset("tiny-se", _p(8, 0.8, 0.5, 0.02), False),
-        NoisePreset("tiny-ss", _p(8, 0.2, 0.5, 0.02), False),
-    ]
+PRESETS: dict[str, MarkovNoiseParams] = {
+    "jsrt-lung-se": _p(180, 0.7, 0.03, 0.1),
+    "jsrt-heart-se": _p(180, 0.7, 0.03, 0.1),
+    "jsrt-clavicle-se": _p(100, 0.7, 0.03, 0.1),
+    "jsrt-lung-ss": _p(200, 0.3, 0.05, 0.1),
+    "jsrt-heart-ss": _p(200, 0.3, 0.05, 0.1),
+    "jsrt-clavicle-ss": _p(120, 0.3, 0.05, 0.1),
+    "isic-se": _p(200, 0.8, 0.05, 0.1),
+    "isic-ss": _p(200, 0.2, 0.05, 0.1),
+    "brats-se": _p(80, 0.7, 0.05, 0.1),
+    "brats-ss": _p(80, 0.3, 0.05, 0.1),
+    # desk-scale expansion/shrinkage pair for ~64x64 grids, not from the paper
+    "tiny-se": _p(8, 0.8, 0.5, 0.02),
+    "tiny-ss": _p(8, 0.2, 0.5, 0.02),
 }
 
 
 def preset(name: str) -> MarkovNoiseParams:
     """Look up a named parameter preset."""
     try:
-        return PRESETS[name].params
+        return PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
@@ -262,6 +251,16 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
     return total / float(n_samples)
 
 
+def _one_step_regime(theta1: float, theta2: float) -> str:
+    """``"expand"``, ``"shrink"`` or ``"identity"``: the one-step regime
+    under the conditions that ``bayes_mask_one_step`` states."""
+    if theta1 * theta2 >= 0.5:
+        return "expand"
+    if 1.0 + theta1 * theta2 - theta2 < 0.5:
+        return "shrink"
+    return "identity"
+
+
 def bayes_mask_one_step(mask, theta1: float, theta2: float) -> np.ndarray:
     """Most-likely-label mask after a single noise step.
 
@@ -276,8 +275,9 @@ def bayes_mask_one_step(mask, theta1: float, theta2: float) -> np.ndarray:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {v}")
     m = as_mask(mask)
-    if theta1 * theta2 >= 0.5:
+    regime = _one_step_regime(theta1, theta2)
+    if regime == "expand":
         return dilate_one(m)
-    if 1.0 + theta1 * theta2 - theta2 < 0.5:
+    if regime == "shrink":
         return erode_one(m)
     return m.copy()

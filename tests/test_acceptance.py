@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segnoise import (CorrectionParams, MarkovNoiseParams, OracleErrorSpec,
-                      SynthSpec, TrainConfig, ValidationBoundInputs, boundaries,
-                      centered_disk, dice, estimate_bias, expected_label_mc,
-                      generate, naive_correct, perturbed_oracle, preset,
+from segnoise import (CorrectionParams, MarkovNoiseParams, SynthSpec,
+                      TrainConfig, ValidationBoundInputs, bayes_mask_one_step,
+                      boundaries, centered_disk, dice, estimate_bias,
+                      expected_label_mc, generate, naive_correct, preset,
                       run_pipeline, signed_distance, sweep, verify_bayes_mask,
                       verify_validation_bound)
 from segnoise.cli import main as cli_main
@@ -107,16 +107,17 @@ def test_one_step_per_site_expectations(capsys):
         t0 = time.perf_counter()
         mask = centered_disk((64, 64))
         theta1, theta2, n = 0.7, 0.5, 100_000
-        bg_b, fg_b = boundaries(mask)
-        interior = ~(bg_b | fg_b)
+        fg_b, bg_b = boundaries(mask)
+        interior = ~(fg_b | bg_b)
         cov = theta1 * (1.0 - theta1) * theta2 * theta2
         for theta3 in (0.0, 0.1):
             params = MarkovNoiseParams(steps=1, theta1=theta1, theta2=theta2,
                                        theta3=theta3, seed=11)
             mean = expected_label_mc(mask, params, n, threads=THREADS)
             expected = one_step_expectation(mask, theta1, theta2, theta3)
-            # expansion side: theta1*theta2 = 0.35 plus the flip term
-            for layer in (bg_b, fg_b):
+            # foreground boundary kept with 1 - (1-theta1)*theta2 = 0.85, background
+            # boundary (the expansion side) on with theta1*theta2 = 0.35, plus the flip term
+            for layer in (fg_b, bg_b):
                 p = expected[layer][0]
                 assert np.allclose(expected[layer], p)
                 sigma = boundary_mean_sigma(p, cov, n, int(layer.sum()))
@@ -151,12 +152,13 @@ def test_single_clean_sample_exact_recovery(capsys):
         for masks in fixtures.values():
             clean_sdfs = [signed_distance(m) for m in masks]
             for theta1, theta2 in regimes.values():
-                noise = MarkovNoiseParams(steps=1, theta1=theta1, theta2=theta2)
-                oracle = perturbed_oracle(masks, noise, OracleErrorSpec(eps0=0.0, eps1=2.0))
-                est = estimate_bias([oracle.predict_sdf(0)], [clean_sdfs[0]])
+                # the exact one-step predictor: Theorem 1's with eps0 = 0
+                preds = [signed_distance(bayes_mask_one_step(m, theta1, theta2))
+                         for m in masks]
+                est = estimate_bias(preds[:1], clean_sdfs[:1])
                 assert est.v_used == 1
-                for i, m in enumerate(masks):
-                    recovered = naive_correct(oracle.predict_sdf(i), est.delta_hat)
+                for pred, m in zip(preds, masks):
+                    recovered = naive_correct(pred, est.delta_hat)
                     assert dice(recovered, m) == 1.0
         assert time.perf_counter() - t0 < 5.0
 

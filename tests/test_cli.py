@@ -376,6 +376,37 @@ def test_sc_run_local_trainer(tmp_path, capsys):
     assert (out / "model.json").exists()
 
 
+def test_sc_run_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys):
+    images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
+    rc, _, err = run(capsys, "sc-run", "--train-images", str(images_dir),
+                     "--train-labels", str(masks_dir), "--val-images", str(images_dir),
+                     "--val-masks", str(masks_dir), "--stop-threshold", "0.5",
+                     "--out", str(tmp_path / "run"))
+    assert rc == 2
+    assert err.startswith("error: ") and "stop_threshold" in err
+    assert not (tmp_path / "run").exists()  # refused before anything was fitted
+
+
+@pytest.mark.parametrize("command", ["train", "sc-run", "sweep"])
+def test_a_diverged_fit_exits_2_without_a_traceback(tmp_path, capsys, command):
+    images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
+    diverge = ["--lr", "1e300", "--epochs", "5"]
+    argv = {
+        "train": ["train", "--images-dir", str(images_dir), "--labels-dir", str(masks_dir),
+                  "--out", str(tmp_path / "model.json")],
+        "sc-run": ["sc-run", "--train-images", str(images_dir),
+                   "--train-labels", str(masks_dir), "--val-images", str(images_dir),
+                   "--val-masks", str(masks_dir), "--out", str(tmp_path / "run")],
+        "sweep": ["sweep", "--kind", "noise_level", "--values", "1", "--count", "4",
+                  "--size", "16x16", "--n-val", "1", "--n-test", "1", "--preset", "tiny-se",
+                  "--out", str(tmp_path / "sweep.csv")],
+    }[command]
+    rc, _, err = run(capsys, *argv, *diverge)
+    assert rc == 2
+    assert err.startswith("error: loss diverged")
+    assert "Traceback" not in err
+
+
 def test_sc_run_refuses_a_used_external_dir(tmp_path, capsys):
     images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
     ext = tmp_path / "ext"

@@ -163,6 +163,13 @@ def test_gamma_is_validated(disk9):
         logit_correct(-phi, phi, 2.0, gamma=1.5)
 
 
+def test_stop_threshold_below_one_layer_is_rejected():
+    # below one layer a bias passes the stop check that lambda_bias then refuses
+    with pytest.raises(ValueError, match="stop_threshold must be >= 1"):
+        CorrectionParams(stop_threshold=0.5)
+    assert CorrectionParams(stop_threshold=1.0).stop_threshold == 1.0
+
+
 def test_one_pass_with_a_two_deep_band_recovers_the_disk():
     # With |shift| = 2 the band reaches depth two, lambda = -2 outweighs the
     # rim logit, and thresholding undoes exactly one dilation.
@@ -371,3 +378,8 @@ def test_bound_rejects_unreachable_accuracy():
         ValidationBoundInputs(eps0=2.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=64)
     with pytest.raises(ValueError):
         ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.0, image_size=64)
+    # the error budget itself: mean magnitude eps0 >= 0 and at most the sup eps1
+    with pytest.raises(ValueError, match="eps0 must be >= 0"):
+        ValidationBoundInputs(eps0=-0.5, eps1=1.0, eps=2.0, alpha=0.05, image_size=64)
+    with pytest.raises(ValueError, match="eps1 must be >= eps0"):
+        ValidationBoundInputs(eps0=2.0, eps1=1.0, eps=3.0, alpha=0.05, image_size=64)

@@ -1,4 +1,4 @@
-"""Reference segmenter, controlled-error predictor, external-trainer bridge."""
+"""Reference segmenter, Theorem-1 error offsets, external-trainer bridge."""
 
 import threading
 from dataclasses import replace
@@ -12,26 +12,21 @@ from segnoise import (
     ExternalSegmenter,
     LogisticSegmenter,
     MarkovNoiseParams,
-    OracleErrorSpec,
-    PerturbedOracle,
     Segmenter,
     SynthSpec,
     TrainConfig,
     TrainingDivergedError,
-    bayes_mask_one_step,
     centered_disk,
     dice,
     loss_and_grad,
-    perturbed_oracle,
     run_pipeline,
     save_field,
-    signed_distance,
     spatial_correction,
     synth_dataset,
     threshold,
 )
 from segnoise import model as model_module
-from segnoise.model import draw_offsets
+from segnoise.harness import draw_offsets
 from _oracles import finite_difference_grad
 
 
@@ -196,6 +191,17 @@ def test_divergence_is_reported():
         LogisticSegmenter(TrainConfig(learning_rate=1e12, epochs=60)).fit(images, labels)
 
 
+def test_fit_rejects_a_label_shaped_unlike_its_image():
+    # same total site count, so only a per-pair check can tell
+    images = [np.zeros((8, 16)), np.ones((8, 16))]
+    labels = [np.zeros((8, 16), dtype=bool), np.ones((16, 8), dtype=bool)]
+    with pytest.raises(ValueError, match=r"image 1 has shape \(8, 16\), its label has shape \(16, 8\)"):
+        LogisticSegmenter(TrainConfig(epochs=5)).fit(images, labels)
+    images[1] = np.ones((16, 8))
+    with pytest.raises(ValueError, match="image 0 has shape"):
+        LogisticSegmenter(TrainConfig(epochs=5)).fit(images, labels[::-1])
+
+
 def test_predict_before_fit_is_an_error():
     model = LogisticSegmenter(TrainConfig())
     with pytest.raises(RuntimeError):
@@ -220,16 +226,11 @@ def test_logistic_satisfies_the_segmenter_protocol():
 # ------------------------------------------------------- controlled errors
 
 
-def test_error_spec_invariants():
-    with pytest.raises(ValueError):
-        OracleErrorSpec(eps0=2.0, eps1=1.0)
-    with pytest.raises(ValueError):
-        OracleErrorSpec(eps0=-0.5, eps1=1.0)
-
-
 def test_offsets_support_and_mean():
     rng = np.random.default_rng(0)
     assert not draw_offsets(rng, 50, 0.0, 0.0).any()
+    # no error budget under a positive cap: every offset is exactly zero
+    assert not draw_offsets(rng, 50, 0.0, 5.0).any()
     all_on = draw_offsets(rng, 200, 3.0, 3.0)
     assert (np.abs(all_on) == 3.0).all()
 
@@ -239,30 +240,6 @@ def test_offsets_support_and_mean():
     # |a| is 20 with probability 1/20, so mean |a| concentrates at eps0
     sigma = 20.0 * np.sqrt(0.05 * 0.95 / n)
     assert abs(np.abs(offs).mean() - 1.0) < 3 * sigma
-
-
-def test_perturbed_oracle_offsets_are_per_image_constants():
-    masks = [centered_disk((21, 21), radius=r) for r in (3, 4, 5)]
-    base = [signed_distance(m) for m in masks]
-    oracle = PerturbedOracle(base, OracleErrorSpec(eps0=2.0, eps1=2.0, seed=7))
-    assert len(oracle) == 3
-    for i, phi in enumerate(base):
-        got = oracle.predict_sdf(i)
-        a = oracle.offsets[i]
-        assert abs(a) == 2.0
-        assert np.array_equal(got, phi + a)
-        assert np.abs(got - phi).max() == abs(a)
-
-
-def test_perturbed_oracle_exact_when_error_budget_is_zero():
-    masks = [centered_disk((15, 15), radius=3)]
-    oracle = perturbed_oracle(
-        masks,
-        MarkovNoiseParams(steps=1, theta1=0.7, theta2=0.9),
-        OracleErrorSpec(eps0=0.0, eps1=5.0, seed=0),
-    )
-    expect = signed_distance(bayes_mask_one_step(masks[0], 0.7, 0.9))
-    assert np.array_equal(oracle.predict_sdf(0), expect)
 
 
 # ------------------------------------------------------- external trainer

@@ -67,10 +67,9 @@ def test_tabulated_presets():
     assert (p.steps, p.theta1, p.theta2, p.theta3) == (200, 0.8, 0.05, 0.1)
     p = preset("brats-ss")
     assert (p.steps, p.theta1, p.theta2, p.theta3) == (80, 0.3, 0.05, 0.1)
-    assert PRESETS["jsrt-lung-se"].paper
-    assert not PRESETS["tiny-se"].paper  # desk-scale setting, not tabulated
     tiny = preset("tiny-se")
     assert (tiny.steps, tiny.theta1, tiny.theta2, tiny.theta3) == (8, 0.8, 0.5, 0.02)
+    assert all(isinstance(p, MarkovNoiseParams) for p in PRESETS.values())
 
 
 def test_unknown_preset_rejected():
