@@ -183,6 +183,8 @@ def _cmd_estimate_bias(args) -> int:
 
 
 def _cmd_correct(args) -> int:
+    # check the flags before anything touches the disk
+    CorrectionParams(gamma=args.gamma, stop_threshold=args.stop_threshold)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     skipped = 0

@@ -125,6 +125,14 @@ def lambda_bias(logits, sdf, delta_hat: float) -> float:
     return -extreme
 
 
+def _check_gamma_and_stop(gamma: float, stop_threshold: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    if stop_threshold < 1.0:
+        # a bias below one lattice layer has no band for lambda_bias to read
+        raise ValueError(f"stop_threshold must be >= 1, got {stop_threshold}")
+
+
 def logit_correct(logits, sdf, delta_hat: float, gamma: float = 1.0, *,
                   lam: float | None = None, stop_threshold: float = 1.0) -> np.ndarray:
     """Add a Gaussian-tapered shift to the logits around the predicted contour.
@@ -133,11 +141,11 @@ def logit_correct(logits, sdf, delta_hat: float, gamma: float = 1.0, *,
     amplitude at the contour, decaying with distance, so far-field logits
     are essentially preserved. ``lam`` defaults to lambda_bias of this
     image. Below ``stop_threshold`` the bias is considered noise and the
-    logits are returned unchanged (as a copy).
+    logits are returned unchanged (as a copy); the threshold must be at
+    least one lattice layer.
     """
     f = as_field(logits)
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    _check_gamma_and_stop(gamma, stop_threshold)
     if abs(delta_hat) < stop_threshold:
         return f.copy()
     d = as_field(sdf)
@@ -156,13 +164,9 @@ class CorrectionParams:
     stop_threshold: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        _check_gamma_and_stop(self.gamma, self.stop_threshold)
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.stop_threshold < 1.0:
-            # a bias below one lattice layer has no band for lambda_bias to read
-            raise ValueError(f"stop_threshold must be >= 1, got {self.stop_threshold}")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "as_mask",
@@ -25,11 +26,16 @@ __all__ = [
     "dice",
 ]
 
-# cross-shaped structuring elements, one per supported rank
-_STRUCTS = {
-    2: ndimage.generate_binary_structure(2, 1),
-    3: ndimage.generate_binary_structure(3, 1),
-}
+
+def _neighbor_pairs(ndim: int) -> Iterator[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """Per axis, the slices ``(a, b)`` with ``x[a]`` the sites that have a
+    predecessor along that axis and ``x[b]`` those predecessors, in step."""
+    for axis in range(ndim):
+        a = [slice(None)] * ndim
+        b = [slice(None)] * ndim
+        a[axis] = slice(1, None)
+        b[axis] = slice(None, -1)
+        yield tuple(a), tuple(b)
 
 
 def as_mask(a) -> np.ndarray:
@@ -61,15 +67,23 @@ def as_field(a) -> np.ndarray:
 def dilate_one(mask) -> np.ndarray:
     """Grow the foreground by its adjacent background layer."""
     m = as_mask(mask)
-    return ndimage.binary_dilation(m, _STRUCTS[m.ndim], border_value=0)
+    out = m.copy()
+    for a, b in _neighbor_pairs(m.ndim):
+        out[a] |= m[b]
+        out[b] |= m[a]
+    return out
 
 
 def erode_one(mask) -> np.ndarray:
     """Remove the exposed foreground boundary layer."""
     m = as_mask(mask)
-    # border_value=1: a foreground site on the image edge is interior unless an
-    # in-grid background neighbor exposes it
-    return ndimage.binary_erosion(m, _STRUCTS[m.ndim], border_value=1)
+    # a missing off-grid neighbor exposes nothing: a foreground site on the
+    # image edge is interior unless an in-grid background neighbor exposes it
+    out = m.copy()
+    for a, b in _neighbor_pairs(m.ndim):
+        out[a] &= m[b]
+        out[b] &= m[a]
+    return out
 
 
 def boundary_layer(mask, expand: bool) -> np.ndarray:

@@ -15,6 +15,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import ndimage
+from scipy.special import betaincinv
 
 from .correct import (CorrectionParams, ValidationBoundInputs,
                       required_validation_size, spatial_correction)
@@ -345,12 +346,12 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
         if err > fail_threshold:
             failures += 1
 
-    from scipy.stats import beta as beta_dist  # here: scipy.stats is most of the package's import time
-
+    # Clopper-Pearson bounds: beta quantiles, read straight from the
+    # incomplete-beta inverse so that scipy.stats is never imported
     rate = failures / n_trials
-    lb = float(beta_dist.ppf(0.05, failures, n_trials - failures + 1)) if failures else 0.0
-    ci_lo = float(beta_dist.ppf(0.025, failures, n_trials - failures + 1)) if failures else 0.0
-    ci_hi = (float(beta_dist.ppf(0.975, failures + 1, n_trials - failures))
+    lb = float(betaincinv(failures, n_trials - failures + 1, 0.05)) if failures else 0.0
+    ci_lo = float(betaincinv(failures, n_trials - failures + 1, 0.025)) if failures else 0.0
+    ci_hi = (float(betaincinv(failures + 1, n_trials - failures, 0.975))
              if failures < n_trials else 1.0)
     return TrialReport(
         name="validation-size-bound",

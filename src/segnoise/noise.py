@@ -31,6 +31,7 @@ changes the draw order above.
 from __future__ import annotations
 
 import configparser
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -218,13 +219,21 @@ def generate(mask, params: MarkovNoiseParams) -> np.ndarray:
     return _run_process(m, params, np.random.default_rng(params.seed))
 
 
+def _mc_workers(threads: int, n_samples: int) -> int:
+    """Threads ``expected_label_mc`` runs: the request capped at the CPU
+    count, or one when a thread would get fewer than two samples."""
+    workers = max(1, min(int(threads), os.cpu_count() or 1))
+    return 1 if n_samples < 2 * workers else workers
+
+
 def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
                       threads: int = 1) -> np.ndarray:
     """Per-site foreground frequency over independent noise draws.
 
     Sample i uses a child seed spawned from ``params.seed``, so results do
     not depend on n_samples beyond truncation, and the integer vote counts
-    make the reduction exact regardless of thread scheduling.
+    make the reduction exact regardless of thread scheduling. At most
+    ``min(threads, os.cpu_count())`` threads run.
     """
     m = as_mask(mask)
     if n_samples < 1:
@@ -238,14 +247,14 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
             counts += _run_process(m, params, np.random.default_rng(children[i]), state)
         return counts
 
-    threads = max(1, int(threads))
-    if threads == 1 or n_samples < 2 * threads:
+    workers = _mc_workers(threads, n_samples)
+    if workers == 1:
         total = count_range(0, n_samples)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        edges = np.linspace(0, n_samples, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        edges = np.linspace(0, n_samples, workers + 1, dtype=int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(count_range, edges[:-1], edges[1:]))
         total = np.sum(parts, axis=0)  # integer sum: order-independent
     return total / float(n_samples)

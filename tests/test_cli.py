@@ -387,6 +387,19 @@ def test_sc_run_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys):
     assert not (tmp_path / "run").exists()  # refused before anything was fitted
 
 
+def test_correct_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys):
+    logits_dir = tmp_path / "logits"
+    logits_dir.mkdir()
+    save_field(np.where(dilate_one(np.eye(8, dtype=bool)), 1.0, -1.0),
+               logits_dir / "a.gtf")
+    out_dir = tmp_path / "corrected"
+    rc, _, err = run(capsys, "correct", "--logits-dir", str(logits_dir), "--delta", "0.8",
+                     "--stop-threshold", "0.5", "--out-dir", str(out_dir))
+    assert rc == 2
+    assert err == "error: stop_threshold must be >= 1, got 0.5\n"
+    assert not out_dir.exists()  # refused before anything was written
+
+
 @pytest.mark.parametrize("command", ["train", "sc-run", "sweep"])
 def test_a_diverged_fit_exits_2_without_a_traceback(tmp_path, capsys, command):
     images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
@@ -524,13 +537,31 @@ def test_console_script_on_path_answers():
     assert as_script.returncode == 0 and as_script.stdout.strip() == "2956"
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second to import and only the
-    # validation-bound harness needs it
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports segnoise from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import segnoise.cli, sys; sys.exit('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+# scipy.stats costs most of a second to import and tens of MB of memory;
+# nothing in the package needs it
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    proc = run_fresh("import segnoise.cli, sys; sys.exit('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
+
+
+def test_verify_theorem1_leaves_scipy_stats_unloaded():
+    # seed 3 fails 6 of 20 trials, so the run computes its confidence bounds
+    argv = ["verify", "theorem1", "--eps0", "0.5", "--eps1", "2", "--eps", "1",
+            "--alpha", "0.5", "--image-size", "1024", "--trials", "20",
+            "--holdout", "10", "--seed", "3"]
+    proc = run_fresh("import sys; from segnoise.cli import main; main(%r); "
+                     "print('scipy.stats' in sys.modules)" % argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "6/20 failures" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"

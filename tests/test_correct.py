@@ -170,6 +170,12 @@ def test_stop_threshold_below_one_layer_is_rejected():
     assert CorrectionParams(stop_threshold=1.0).stop_threshold == 1.0
 
 
+def test_logit_correct_rejects_a_stop_threshold_below_one_layer(disk9):
+    phi = signed_distance(disk9)
+    with pytest.raises(ValueError, match="stop_threshold must be >= 1, got 0.5"):
+        logit_correct(-phi, phi, 0.8, stop_threshold=0.5)
+
+
 def test_one_pass_with_a_two_deep_band_recovers_the_disk():
     # With |shift| = 2 the band reaches depth two, lambda = -2 outweighs the
     # rim logit, and thresholding undoes exactly one dilation.

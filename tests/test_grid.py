@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
 
 from segnoise import (
     as_mask,
@@ -107,6 +108,25 @@ def test_morphology_uses_six_neighbors_in_3d(m):
     fg_b, bg_b = boundaries(m)
     assert np.array_equal(dilate_one(m), m | bg_b)
     assert np.array_equal(erode_one(m), m & ~fg_b)
+
+
+def assert_matches_scipy_cross_morphology(m):
+    before = m.copy()
+    cross = generate_binary_structure(m.ndim, 1)
+    # off-grid sites count as background for dilation, foreground for erosion
+    assert np.array_equal(dilate_one(m), binary_dilation(m, cross, border_value=0))
+    assert np.array_equal(erode_one(m), binary_erosion(m, cross, border_value=1))
+    assert np.array_equal(m, before)
+
+
+@given(masks_2d)
+def test_morphology_matches_scipy_cross_element_2d(m):
+    assert_matches_scipy_cross_morphology(m)
+
+
+@given(masks_3d)
+def test_morphology_matches_scipy_cross_element_3d(m):
+    assert_matches_scipy_cross_morphology(m)
 
 
 def test_dice_hand_values():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from scipy.ndimage import binary_fill_holes
+from scipy.special import betaincinv
+from scipy.stats import beta
 
 from segnoise import (
     CorrectionParams,
@@ -199,6 +201,26 @@ def test_bound_check_is_reproducible():
     a = verify_validation_bound(small_bound_inputs(), n_trials=20, holdout=10, seed=9)
     b = verify_validation_bound(small_bound_inputs(), n_trials=20, holdout=10, seed=9)
     assert a.measurements == b.measurements
+
+
+def test_incomplete_beta_inverse_is_the_beta_quantile():
+    # the harness reads its Clopper-Pearson bounds from betaincinv; they must
+    # be scipy.stats' beta quantiles to the bit, at every failure count
+    for n in (1, 2, 3, 20, 199, 200, 1000, 5000):
+        k = np.unique(np.linspace(1, n, 60).astype(int))
+        for q in (0.05, 0.025):
+            assert np.array_equal(betaincinv(k, n - k + 1, q), beta.ppf(q, k, n - k + 1))
+        k = k[k < n]
+        assert np.array_equal(betaincinv(k + 1, n - k, 0.975), beta.ppf(0.975, k + 1, n - k))
+
+
+def test_bound_check_confidence_bounds_are_clopper_pearson():
+    rep = verify_validation_bound(small_bound_inputs(), n_trials=20, holdout=10, seed=9)
+    n, k = 20, rep.measurements["failures"]
+    assert 0 < k < n
+    assert rep.measurements["rate_lower_95_one_sided"] == float(beta.ppf(0.05, k, n - k + 1))
+    assert rep.measurements["rate_ci95_low"] == float(beta.ppf(0.025, k, n - k + 1))
+    assert rep.measurements["rate_ci95_high"] == float(beta.ppf(0.975, k + 1, n - k))
 
 
 def test_bound_check_rejects_v_beyond_the_pool_cap():

@@ -315,6 +315,20 @@ def test_mc_thread_count_does_not_change_the_field():
     assert (one >= 0).all() and (one <= 1).all()
 
 
+def test_mc_threads_are_capped_at_the_cpu_count(monkeypatch):
+    from segnoise import noise
+
+    monkeypatch.setattr(noise.os, "cpu_count", lambda: 4)
+    assert noise._mc_workers(10**6, 10**9) == 4
+    assert noise._mc_workers(3, 100) == 3
+    assert noise._mc_workers(4, 8) == 4
+    assert noise._mc_workers(4, 7) == 1  # fewer than two samples per thread
+    assert noise._mc_workers(10**6, 7) == 1
+    assert noise._mc_workers(0, 100) == 1
+    monkeypatch.setattr(noise.os, "cpu_count", lambda: None)  # count unknown
+    assert noise._mc_workers(8, 100) == 1
+
+
 def test_one_step_means_match_closed_form():
     mask = centered_disk((33, 33), radius=8)
     t1, t2, t3 = 0.7, 0.5, 0.0

@@ -2,20 +2,22 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from segnoise import (
     DegenerateMaskError,
+    SynthSpec,
     centered_disk,
     dilate_one,
     erode_one,
     sdf_gap,
     signed_distance,
+    synth_masks,
     threshold,
 )
-from _oracles import brute_signed_distance, random_mask
+from _oracles import brute_signed_distance, cdt_signed_distance, random_mask
 
 nondegenerate_2d = hnp.arrays(
     np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=10)
@@ -53,6 +55,55 @@ def test_matches_shortest_path_oracle_2d(m):
 @given(nondegenerate_3d)
 def test_matches_shortest_path_oracle_3d(m):
     assert np.array_equal(signed_distance(m), brute_signed_distance(m))
+
+
+def assert_same_field(phi, ref):
+    assert phi.dtype == ref.dtype == np.float64
+    assert np.array_equal(phi, ref)
+
+
+@pytest.mark.parametrize("family, shape", [("disks", (256, 256)),
+                                           ("ellipse-unions", (256, 256)),
+                                           ("disks", (64, 64, 64)),
+                                           ("ellipse-unions", (64, 64, 64))],
+                         ids=["disks-256x256", "ellipse-unions-256x256",
+                              "disks-64x64x64", "ellipse-unions-64x64x64"])
+def test_matches_the_two_transform_formula_on_synthetic_masks(family, shape):
+    # synthetic masks keep a margin, so these fields come from a cropped box
+    for m in synth_masks(SynthSpec(count=3, shape=shape, family=family, seed=11)):
+        for x in (m, dilate_one(m), erode_one(m)):
+            if x.any():
+                assert_same_field(signed_distance(x), cdt_signed_distance(x))
+
+
+@st.composite
+def edge_touching_masks(draw):
+    """A box flush with a drawn set of grid sides, or its complement, with
+    optional extra flips anywhere; sides of length 1 (1xN, Nx1) included."""
+    ndim = draw(st.sampled_from([2, 3]))
+    top = 12 if ndim == 2 else 5
+    shape = tuple(draw(st.one_of(st.just(1), st.integers(1, top))) for _ in range(ndim))
+    box = []
+    for n in shape:
+        lo = 0 if draw(st.booleans()) else draw(st.integers(0, n - 1))
+        hi = n if draw(st.booleans()) else draw(st.integers(lo + 1, n))
+        box.append(slice(lo, hi))
+    m = np.zeros(shape, dtype=bool)
+    m[tuple(box)] = True
+    if draw(st.booleans()):
+        m = ~m
+    if draw(st.booleans()):
+        m ^= draw(hnp.arrays(np.bool_, shape))
+    assume(m.any() and not m.all())
+    return m
+
+
+@given(edge_touching_masks())
+@example(np.array([[1, 1, 0, 0, 0, 0, 0, 0, 0]], dtype=bool))
+@example(np.array([[0, 0, 0, 0, 0, 0, 0, 1, 1]], dtype=bool).T)
+@example(np.array([[1, 0, 0, 0, 1, 0, 0, 0, 1]], dtype=bool))
+def test_matches_the_two_transform_formula_where_layers_meet_the_edge(m):
+    assert_same_field(signed_distance(m), cdt_signed_distance(m))
 
 
 @given(nondegenerate_2d)
