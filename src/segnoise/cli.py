@@ -185,14 +185,17 @@ def _cmd_estimate_bias(args) -> int:
 def _cmd_correct(args) -> int:
     # check the flags before anything touches the disk
     CorrectionParams(gamma=args.gamma, stop_threshold=args.stop_threshold)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    skipped = 0
     files = sorted(Path(args.logits_dir).glob("*.gtf"))
     if not files:
         raise ValueError(f"no .gtf files in {args.logits_dir}")
-    for path in files:
-        logits = load_field(path).astype(np.float64)
+    # read every input before the output directory exists, so a bad input
+    # leaves nothing behind
+    fields = [load_field(path) for path in files]
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    skipped = 0
+    for path, field in zip(files, fields):
+        logits = field.astype(np.float64)
         mask = threshold(logits, 0.0, mode="ge")
         try:
             phi = signed_distance(mask)
@@ -441,7 +444,9 @@ def build_parser() -> _Parser:
     v.add_argument("--size", type=_size, default=(64, 64))
     v.add_argument("--radius", type=int, default=None, help="disk fixture radius")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    v.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for the Monte Carlo, at most the CPU "
+                        "count (default: the CPU count); the report does not depend on it")
     v.add_argument("--out", default=None, help="report CSV")
     v.set_defaults(func=_cmd_verify_lemma1)
 

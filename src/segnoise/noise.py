@@ -17,7 +17,7 @@ draw order is part of the contract. Per step, the expansion coin is drawn
 first, then one coin per boundary site in row-major order; flip coins come
 last, one per stable site in row-major order. Monte Carlo helpers derive one
 child seed per sample from the base seed, so sample i is the same no matter
-how many samples are drawn around it.
+how many samples are drawn around it, or in which worker process.
 
 A step can change only its own boundary layer, so the walk keeps both layers
 and after each step recomputes membership only at the flipped sites and
@@ -31,13 +31,13 @@ changes the draw order above.
 from __future__ import annotations
 
 import configparser
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
+from ._fanout import map_ranges
 from .grid import as_mask, boundary_layer, dilate_one, erode_one
 
 __all__ = [
@@ -219,45 +219,41 @@ def generate(mask, params: MarkovNoiseParams) -> np.ndarray:
     return _run_process(m, params, np.random.default_rng(params.seed))
 
 
-def _mc_workers(threads: int, n_samples: int) -> int:
-    """Threads ``expected_label_mc`` runs: the request capped at the CPU
-    count, or one when a thread would get fewer than two samples."""
-    workers = max(1, min(int(threads), os.cpu_count() or 1))
-    return 1 if n_samples < 2 * workers else workers
+# the fewest samples that repay a worker process: on a 64^2 disk a one-step
+# sample takes 50-100 us and a two-worker fan-out adds about 20 ms, so two
+# workers broke even near 2,000 samples and halved 16,000
+_MC_GRAIN = 1000
+
+
+def _mc_votes(mask: np.ndarray, params: MarkovNoiseParams, state, entropy,
+              lo: int, hi: int) -> np.ndarray:
+    """Foreground votes of samples lo..hi-1; sample i draws from the i-th
+    child of ``SeedSequence(entropy)``."""
+    counts = np.zeros(mask.shape, dtype=np.int64)
+    for i in range(lo, hi):
+        child = np.random.SeedSequence(entropy, spawn_key=(i,))  # = spawn(n)[i]
+        counts += _run_process(mask, params, np.random.default_rng(child), state)
+    return counts
 
 
 def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
                       threads: int = 1) -> np.ndarray:
     """Per-site foreground frequency over independent noise draws.
 
-    Sample i uses a child seed spawned from ``params.seed``, so results do
-    not depend on n_samples beyond truncation, and the integer vote counts
-    make the reduction exact regardless of thread scheduling. At most
-    ``min(threads, os.cpu_count())`` threads run.
+    Sample i uses the i-th child seed of ``params.seed``, so results do not
+    depend on n_samples beyond truncation. ``threads`` asks for worker
+    processes, each given a consecutive range of samples; at most
+    ``os.cpu_count()`` run, and calls too small to repay a fork run in this
+    process. Integer vote counts make the sum exact, so the field is the
+    same for every ``threads``.
     """
     m = as_mask(mask)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    children = np.random.SeedSequence(params.seed).spawn(n_samples)
+    entropy = np.random.SeedSequence(params.seed).entropy
     state = _walk_state(m)  # every sample starts from the same bands
-
-    def count_range(lo: int, hi: int) -> np.ndarray:
-        counts = np.zeros(m.shape, dtype=np.int64)
-        for i in range(lo, hi):
-            counts += _run_process(m, params, np.random.default_rng(children[i]), state)
-        return counts
-
-    workers = _mc_workers(threads, n_samples)
-    if workers == 1:
-        total = count_range(0, n_samples)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        edges = np.linspace(0, n_samples, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(count_range, edges[:-1], edges[1:]))
-        total = np.sum(parts, axis=0)  # integer sum: order-independent
-    return total / float(n_samples)
+    parts = map_ranges(_mc_votes, n_samples, threads, _MC_GRAIN, m, params, state, entropy)
+    return np.sum(parts, axis=0) / float(n_samples)  # integer sum: order-independent
 
 
 def _one_step_regime(theta1: float, theta2: float) -> str:

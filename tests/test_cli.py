@@ -400,6 +400,22 @@ def test_correct_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys):
     assert not out_dir.exists()  # refused before anything was written
 
 
+@pytest.mark.parametrize("inputs", ["empty", "masks"])
+def test_correct_reads_every_input_before_it_creates_the_out_dir(tmp_path, capsys, inputs):
+    logits_dir = tmp_path / "logits"
+    logits_dir.mkdir()
+    if inputs == "masks":  # a directory of GTF masks where logit fields belong
+        save_field(np.ones((8, 8)), logits_dir / "a.gtf")
+        save_mask(np.eye(8, dtype=bool), logits_dir / "b.gtf")
+    out_dir = tmp_path / "corrected"
+    rc, _, err = run(capsys, "correct", "--logits-dir", str(logits_dir), "--delta", "2",
+                     "--out-dir", str(out_dir))
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert ("no .gtf files" if inputs == "empty" else "found a u8 mask") in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "sc-run", "sweep"])
 def test_a_diverged_fit_exits_2_without_a_traceback(tmp_path, capsys, command):
     images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
@@ -553,6 +569,12 @@ def run_fresh(code):
 def test_cli_import_leaves_scipy_stats_unloaded():
     proc = run_fresh("import segnoise.cli, sys; sys.exit('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a fan-out over worker processes needs it
+    proc = run_fresh("import segnoise.cli, sys; sys.exit('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr or "multiprocessing was imported"
 
 
 def test_verify_theorem1_leaves_scipy_stats_unloaded():

@@ -203,6 +203,22 @@ def test_bound_check_is_reproducible():
     assert a.measurements == b.measurements
 
 
+def test_bound_report_does_not_depend_on_the_cpu_count(monkeypatch):
+    # V = ceil(8 ln 576) = 51 plus 60 held out: a pool of 111 tiny masks, enough
+    # for two worker processes
+    from segnoise import _fanout, harness
+
+    inputs = ValidationBoundInputs(eps0=0.5, eps1=2.0, eps=1.0, alpha=0.5, image_size=144)
+    rows = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_fanout.os, "cpu_count", lambda: cpus)
+        rep = verify_validation_bound(inputs, n_trials=5, holdout=60, seed=3)
+        assert rep.measurements["pool_size"] == 111
+        assert _fanout.worker_count(cpus, 111, harness._POOL_GRAIN) == cpus
+        rows[cpus] = rep.rows()
+    assert rows[1] == rows[2]
+
+
 def test_incomplete_beta_inverse_is_the_beta_quantile():
     # the harness reads its Clopper-Pearson bounds from betaincinv; they must
     # be scipy.stats' beta quantiles to the bit, at every failure count

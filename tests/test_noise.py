@@ -300,6 +300,21 @@ def test_mc_is_the_mean_of_generate_over_the_child_seeds(threads):
         assert np.array_equal(expected_label_mc(mask, p, n, threads=threads), votes / n)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpus):
+    # enough samples for two worker processes, on a mask small enough to keep
+    # the 2 x 2,000 walks cheap
+    from segnoise import _fanout, noise
+
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: cpus)
+    mask = centered_disk((7, 7), radius=2)
+    p = params(theta1=0.6, theta2=0.7, theta3=0.05, seed=21)
+    n = 2 * noise._MC_GRAIN
+    assert _fanout.worker_count(2, n, noise._MC_GRAIN) == cpus
+    children = np.random.SeedSequence(p.seed).spawn(n)
+    votes = sum(generate(mask, replace(p, seed=c)).astype(np.int64) for c in children)
+    assert np.array_equal(expected_label_mc(mask, p, n, threads=2), votes / n)
+
 
 def test_mc_with_dead_coins_equals_the_mask(disk9):
     field = expected_label_mc(disk9, params(steps=3, theta2=0.0), n_samples=100)
@@ -316,17 +331,25 @@ def test_mc_thread_count_does_not_change_the_field():
 
 
 def test_mc_threads_are_capped_at_the_cpu_count(monkeypatch):
-    from segnoise import noise
+    # the worker count is decided before any process starts, so none starts here
+    import multiprocessing
 
-    monkeypatch.setattr(noise.os, "cpu_count", lambda: 4)
-    assert noise._mc_workers(10**6, 10**9) == 4
-    assert noise._mc_workers(3, 100) == 3
-    assert noise._mc_workers(4, 8) == 4
-    assert noise._mc_workers(4, 7) == 1  # fewer than two samples per thread
-    assert noise._mc_workers(10**6, 7) == 1
-    assert noise._mc_workers(0, 100) == 1
-    monkeypatch.setattr(noise.os, "cpu_count", lambda: None)  # count unknown
-    assert noise._mc_workers(8, 100) == 1
+    from segnoise import _fanout, noise
+
+    grain = noise._MC_GRAIN
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 4)
+    assert _fanout.worker_count(10**6, 10**9, grain) == 4
+    assert _fanout.worker_count(3, 10**9, grain) == 3
+    assert _fanout.worker_count(4, 4 * grain, grain) == 4
+    assert _fanout.worker_count(4, 4 * grain - 1, grain) == 3  # one chunk per worker
+    assert _fanout.worker_count(4, 2 * grain - 1, grain) == 1  # too small to repay a fork
+    assert _fanout.worker_count(10**6, 7, grain) == 1
+    assert _fanout.worker_count(0, 10**9, grain) == 1
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: None)  # count unknown
+    assert _fanout.worker_count(8, 10**9, grain) == 1
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _fanout.worker_count(8, 10**9, grain) == 1  # no fork on this platform
 
 
 def test_one_step_means_match_closed_form():
