@@ -1,18 +1,22 @@
 """Deterministic fan-out of index ranges over forked worker processes.
 
 The Monte Carlo and the validation-bound pool are loops over independent,
-seeded items: item i draws from the i-th child of one SeedSequence. Split
-into consecutive ranges and computed in separate processes, they give the
-same results in the same order as one loop, whatever the worker count.
+seeded items: item i draws from the i-th child of one SeedSequence. The
+clean and noisy arms of ``run_pipeline`` are two independent fits, each a
+pure function of its config and data. Split into consecutive ranges and
+computed in separate processes, all of them give the same results in the
+same order as one loop, whatever the worker count.
 
 Workers are forked rather than spawned: a forked worker starts without
 re-importing numpy, scipy and segnoise, which costs a spawned one about
 0.7 s, more than most calls take. A fork is unsafe while another thread of
 the caller holds a lock that the worker needs. segnoise starts no thread
-before the fork (the executor starts its own after it), and neither loop
-calls BLAS, so OpenBLAS's idle threads are not needed in the workers. On
-Python >= 3.12, forking a process that runs threads (OpenBLAS starts some
-at import) raises a DeprecationWarning.
+before the fork (the executor starts its own after it), and none of these
+loops calls BLAS (the logistic loss runs on numpy's own ``einsum`` loops),
+so OpenBLAS's idle threads are not needed in the workers, and two workers
+do not each start a team of spinning BLAS threads. On Python >= 3.12,
+forking a process that runs threads (OpenBLAS starts some at import)
+raises a DeprecationWarning.
 """
 
 from __future__ import annotations

@@ -217,9 +217,10 @@ def _train_cfg(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
+    model = LogisticSegmenter(_train_cfg(args))  # a bad flag exits before any file is read
     images = [_load_image(p) for p in _grid_files(args.images_dir)]
     labels = [load_mask(p) for p in _grid_files(args.labels_dir)]
-    model = LogisticSegmenter(_train_cfg(args)).fit(images, labels, args.seed)
+    model.fit(images, labels, args.seed)
     Path(args.out).write_text(model.to_json(), encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
@@ -239,6 +240,7 @@ def _cmd_predict(args) -> int:
 def _cmd_sc_run(args) -> int:
     params = CorrectionParams(gamma=args.gamma, max_iters=args.max_iters,
                               stop_threshold=args.stop_threshold)
+    train_cfg = _train_cfg(args)
     train_images = [_load_image(p) for p in _grid_files(args.train_images)]
     label_files = _grid_files(args.train_labels)
     train_labels = [load_mask(p) for p in label_files]
@@ -253,7 +255,7 @@ def _cmd_sc_run(args) -> int:
                                   poll_interval=args.poll_interval,
                                   timeout=args.timeout)
     else:
-        model = LogisticSegmenter(_train_cfg(args))
+        model = LogisticSegmenter(train_cfg)
     result = spatial_correction(train_images, train_labels, val_images, val_masks,
                                 model, params, seed=args.seed, train_truth=truth,
                                 report_path=out / "report.csv")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,27 +55,38 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # NaN fails no comparison, so finiteness is checked first
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be >= 0 and finite, got {self.l2}")
         if any(r < 1 for r in self.feature_radii):
             raise ValueError("feature radii must be >= 1")
 
 
-def _features(image: np.ndarray, radii: tuple[int, ...]) -> np.ndarray:
-    """Per-site design matrix: constant, intensity, and box means."""
+def _features(image: np.ndarray, radii: tuple[int, ...],
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Per-site design matrix: constant, intensity, and box means.
+
+    The columns are written into ``out`` (rows = sites) when given, else
+    into a new column-order array; either way each column is contiguous.
+    """
     img = as_field(image)
-    cols = [np.ones(img.size), img.reshape(-1)]
-    for r in radii:
-        cols.append(ndimage.uniform_filter(img, size=2 * r + 1, mode="nearest").reshape(-1))
-    return np.stack(cols, axis=1)
+    if out is None:
+        out = np.empty((img.size, 2 + len(radii)), order="F")
+    out[:, 0] = 1.0
+    out[:, 1] = img.reshape(-1)
+    for j, r in enumerate(radii, start=2):
+        ndimage.uniform_filter(img, size=2 * r + 1, mode="nearest",
+                               output=out[:, j].reshape(img.shape))
+    return out
 
 
-def loss_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
-                  l2: float) -> tuple[float, np.ndarray]:
+def loss_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float,
+                  scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[float, np.ndarray]:
     """Mean logistic cross-entropy with an L2 penalty on the non-bias weights.
 
     Returns (loss, gradient); both are exact, which makes the gradient easy
@@ -82,27 +94,34 @@ def loss_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
     logits ``f`` serves both terms: the per-site loss ``log(1 + e^f)`` is
     ``max(f, 0) + log1p(e)`` and the sigmoid is ``where(f >= 0, 1, e) / (1 + e)``,
     both stable at any magnitude of ``f``.
+
+    The products are numpy's own ``einsum`` loops, not BLAS, so the result
+    does not depend on how many threads OpenBLAS runs, and a forked worker
+    spins up none. ``scratch`` is three float64 arrays of ``y.size`` that the
+    call may overwrite; a fit passes the same three to every epoch. ``w``,
+    ``X`` and ``y`` are left unchanged.
     """
     n = y.size
-    f = X @ w
-    e = np.abs(f)
+    f, e, buf = scratch if scratch is not None else (np.empty(n), np.empty(n), np.empty(n))
+    np.einsum("ik,k->i", X, w, out=f)
+    np.abs(f, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    buf = np.log1p(e)
+    np.log1p(e, out=buf)
     log1p_sum = buf.sum()
     max_sum = np.maximum(f, 0.0, out=buf).sum()
-    loss = float(max_sum + log1p_sum - y @ f) / n
+    loss = float(max_sum + log1p_sum - np.einsum("i,i->", y, f)) / n
     reg = w.copy()
     reg[0] = 0.0
-    loss += 0.5 * l2 * float(reg @ reg)
-    # the sigmoid's numerator where(f >= 0, 1, e) is max(sign(f), e), as
+    loss += 0.5 * l2 * float(np.einsum("k,k->", reg, reg))
+    # the sigmoid's numerator where(f >= 0, 1, e) is max(f >= 0, e), as
     # 0 < e <= 1 with e = 1 at f = 0; f, e and buf are then reused in place
     np.add(e, 1.0, out=buf)
-    np.sign(f, out=f)
+    np.greater_equal(f, 0.0, out=f)
     np.maximum(f, e, out=e)
     e /= buf
     e -= y
-    grad = X.T @ e / n + l2 * reg
+    grad = np.einsum("ik,i->k", X, e) / n + l2 * reg
     return loss, grad
 
 
@@ -135,16 +154,25 @@ class LogisticSegmenter:
             if np.shape(img) != np.shape(lbl):
                 raise ValueError(f"image {i} has shape {np.shape(img)}, "
                                  f"its label has shape {np.shape(lbl)}")
-        X = np.concatenate([_features(img, self.cfg.feature_radii) for img in images])
-        y = np.concatenate([as_mask(lbl).reshape(-1) for lbl in labels]).astype(np.float64)
-        fitted_on = (self.cfg, _digest(X), _digest(y))
+        radii = self.cfg.feature_radii
+        n = sum(np.size(img) for img in images)
+        X = np.empty((n, 2 + len(radii)), order="F")
+        y = np.empty(n)
+        lo = 0
+        for img, lbl in zip(images, labels):
+            hi = lo + np.size(img)
+            _features(img, radii, out=X[lo:hi])
+            y[lo:hi] = as_mask(lbl).reshape(-1)
+            lo = hi
+        fitted_on = (self.cfg, _digest(X.T), _digest(y))  # X.T is C-contiguous: no copy
         if fitted_on != self._fitted_on:
             w = np.zeros(X.shape[1])
             losses = []
+            scratch = (np.empty(n), np.empty(n), np.empty(n))
             # overflow to inf is the divergence signal itself, not a stray warning
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(self.cfg.epochs):
-                    loss, grad = loss_and_grad(w, X, y, self.cfg.l2)
+                    loss, grad = loss_and_grad(w, X, y, self.cfg.l2, scratch)
                     if not np.isfinite(loss):
                         raise TrainingDivergedError(f"loss diverged under {self.cfg}")
                     losses.append(loss)
@@ -160,7 +188,8 @@ class LogisticSegmenter:
             raise RuntimeError("fit() the model before predicting")
         img = as_field(image)
         X = _features(img, self.cfg.feature_radii)
-        return (X @ self.weights).reshape(img.shape)
+        # the fit's own product, so a training image scores as during the fit
+        return np.einsum("ik,k->i", X, self.weights).reshape(img.shape)
 
     # --- plain-JSON persistence, used by the train/predict commands ---
 

@@ -3,7 +3,15 @@
 Nothing here may call into segnoise's own geometry/distance code paths. Distances
 come from explicit graph adjacency plus scipy's shortest-path solver, boundaries
 from hand-rolled neighbor loops, expectations from closed-form arithmetic.
+``run_fresh`` runs code in a new interpreter, for what a running test process
+cannot show: what an import loads, or what an environment variable read at
+start-up changes.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import distance_transform_cdt, gaussian_filter
@@ -149,3 +157,13 @@ def random_mask(rng, shape, p=None):
     if not m.any():
         m.flat[rng.integers(m.size)] = True
     return m
+
+
+def run_fresh(code, **env):
+    """Run ``code`` in a new interpreter that imports segnoise from this
+    checkout, with ``env`` added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)

@@ -10,7 +10,6 @@ interpreter to see which modules a cold start loads.
 """
 
 import hashlib
-import os
 import re
 import shutil
 import struct
@@ -25,6 +24,7 @@ from segnoise import (MarkovNoiseParams, dilate_one, estimate_bias, generate,
                       sdf_gap, signed_distance)
 from segnoise.cli import main
 from segnoise.formats import load_field, load_mask, save_field, save_mask
+from _oracles import run_fresh
 
 
 def run(capsys, *argv):
@@ -436,6 +436,32 @@ def test_a_diverged_fit_exits_2_without_a_traceback(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "sc-run", "sweep"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "nan", "learning_rate must be positive and finite, got nan"),
+    ("--lr", "inf", "learning_rate must be positive and finite, got inf"),
+    ("--l2", "nan", "l2 must be >= 0 and finite, got nan"),
+    ("--l2", "-inf", "l2 must be >= 0 and finite, got -inf"),
+])
+def test_a_non_finite_step_or_penalty_exits_2_before_reading(tmp_path, capsys, command,
+                                                             flag, value, message):
+    # the input directories do not exist, so any read would fail differently
+    missing = str(tmp_path / "missing")
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--images-dir", missing, "--labels-dir", missing,
+                  "--out", str(out)],
+        "sc-run": ["sc-run", "--train-images", missing, "--train-labels", missing,
+                   "--val-images", missing, "--val-masks", missing, "--out", str(out)],
+        "sweep": ["sweep", "--kind", "noise_level", "--values", "1", "--count", "4",
+                  "--size", "16x16", "--n-val", "1", "--n-test", "1", "--preset", "tiny-se",
+                  "--out", str(out)],
+    }[command]
+    rc, _, err = run(capsys, *argv, f"{flag}={value}")
+    assert (rc, err) == (2, f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_sc_run_refuses_a_used_external_dir(tmp_path, capsys):
     images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
     ext = tmp_path / "ext"
@@ -551,15 +577,6 @@ def test_installed_entry_points_answer():
 def test_console_script_on_path_answers():
     as_script = subprocess.run(["segnoise", *BOUND_ARGV], capture_output=True, text=True)
     assert as_script.returncode == 0 and as_script.stdout.strip() == "2956"
-
-
-def run_fresh(code):
-    """Run ``code`` in a new interpreter that imports segnoise from this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
 
 
 # scipy.stats costs most of a second to import and tens of MB of memory;

@@ -1,5 +1,9 @@
 """Synthetic data and the verification experiments at desk scale."""
 
+import concurrent.futures
+import multiprocessing
+import re
+
 import numpy as np
 import pytest
 from scipy.ndimage import binary_fill_holes
@@ -11,6 +15,7 @@ from segnoise import (
     MarkovNoiseParams,
     SynthSpec,
     TrainConfig,
+    TrainingDivergedError,
     TrialReport,
     ValidationBoundInputs,
     boundaries,
@@ -296,6 +301,88 @@ def test_pipeline_correction_reduces_the_label_gap(tmp_path):
     assert (tmp_path / "sc.csv").exists()
     assert len(res.sc_records) >= 2
     assert abs(res.sc_records[0].delta_hat) >= 1.0
+
+
+def spy(monkeypatch, module, name, results):
+    """Replace ``module.name`` by a wrapper that appends each result to ``results``."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_pipeline_does_not_depend_on_the_cpu_count(monkeypatch):
+    # 32 training images of 32^2 for 200 epochs: 6.6 M site-epochs a fit, so
+    # with two CPUs the clean and noisy arms are fitted in two workers
+    from segnoise import _fanout, harness
+    from segnoise import model as model_module
+
+    noise = MarkovNoiseParams(steps=8, theta1=0.9, theta2=0.6, theta3=0.02, seed=0)
+    cfg = TrainConfig(epochs=200)
+    runs = {}
+    for cpus in (1, 2):
+        with monkeypatch.context() as mp:
+            mp.setattr(_fanout.os, "cpu_count", lambda: cpus)
+            arms, workers, calls = [], [], []
+            spy(mp, harness, "map_ranges", arms)
+            spy(mp, _fanout, "worker_count", workers)
+            spy(mp, model_module, "loss_and_grad", calls)
+            res = run_pipeline(tiny_spec(count=48, seed=3), noise, CorrectionParams(max_iters=3),
+                               cfg, n_val=6, n_test=10, seed=3)
+        assert workers == [cpus]
+        assert len(res.sc_records) >= 2
+        # the loop's first fit is a no-op on the noisy arm's model, also when
+        # that model comes back from a worker; each later round refits here
+        refits = len(res.sc_records) - 1
+        assert len(calls) == cfg.epochs * (refits + (2 if cpus == 1 else 0))
+        runs[cpus] = res, [model for part in arms[0] for model in part]
+    (one, models_one), (two, models_two) = runs[1], runs[2]
+    assert one.metrics == two.metrics
+    assert repr(one.sc_records) == repr(two.sc_records)
+    for a, b in ((one.noisy_labels, two.noisy_labels),
+                 (one.corrected_labels, two.corrected_labels)):
+        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+    for a, b in zip(models_one, models_two, strict=True):
+        assert np.array_equal(a.weights, b.weights) and a.losses == b.losses
+
+
+def test_a_pipeline_fit_too_small_for_a_fork_starts_no_process(monkeypatch):
+    from segnoise import _fanout, harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
+    noise = MarkovNoiseParams(steps=2, theta1=0.9, theta2=0.6, seed=0)
+    # 8 training images of 32^2: 122 epochs fall short of the grain, 123 reach it
+    for epochs, forked in ((122, False), (123, True)):
+        assert (8 * 32 * 32 * epochs >= harness._FIT_GRAIN) == forked
+        with monkeypatch.context() as mp:
+            workers = []
+            spy(mp, _fanout, "worker_count", workers)
+            if not forked:
+                mp.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            run_pipeline(tiny_spec(count=14), noise, CorrectionParams(max_iters=1),
+                         TrainConfig(epochs=epochs), n_val=2, n_test=4, seed=0)
+        assert workers == [2 if forked else 1]
+
+
+def test_a_diverging_arm_fit_in_a_worker_reaches_the_caller(monkeypatch):
+    from segnoise import _fanout
+
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
+    workers = []
+    spy(monkeypatch, _fanout, "worker_count", workers)
+    cfg = TrainConfig(learning_rate=1e300, epochs=200)
+    noise = MarkovNoiseParams(steps=2, theta1=0.9, theta2=0.6, seed=0)
+    with pytest.raises(TrainingDivergedError, match=f"^{re.escape(f'loss diverged under {cfg}')}$"):
+        run_pipeline(tiny_spec(count=14), noise, CorrectionParams(), cfg,
+                     n_val=2, n_test=4, seed=0)
+    assert workers == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_pipeline_custom_noise_hook():

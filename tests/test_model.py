@@ -27,7 +27,7 @@ from segnoise import (
 )
 from segnoise import model as model_module
 from segnoise.harness import draw_offsets
-from _oracles import finite_difference_grad
+from _oracles import finite_difference_grad, run_fresh
 
 
 def toy_data(n_images=3, shape=(12, 12), seed=0, noise=0.25):
@@ -48,6 +48,15 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(l2=-1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_a_non_finite_step_or_penalty(value):
+    # NaN passes both sign checks, and an infinite step diverges only later
+    with pytest.raises(ValueError, match=f"^learning_rate must be positive and finite, got {value}$"):
+        TrainConfig(learning_rate=value)
+    with pytest.raises(ValueError, match=f"^l2 must be >= 0 and finite, got {value}$"):
+        TrainConfig(l2=value)
 
 
 def test_gradient_matches_central_differences():
@@ -77,16 +86,42 @@ def test_fused_loss_and_grad_matches_the_written_out_reference():
     n, d = 600, 4
     # row scales from 1e-4 to 1e4 put logits of both signs across that whole range
     X = rng.standard_normal((n, d)) * np.logspace(-4, 4, n)[:, None]
-    X[:5] = 0.0  # logits of exactly 0.0; a BLAS product sums from +0.0, so never -0.0
+    X[:5] = 0.0  # logits of exactly 0.0
     w = np.array([0.3, -1.2, 0.8, 0.5])
     f = X @ w
     assert f.min() < -1e3 and f.max() > 1e3 and (f == 0.0).sum() == 5
-    for y in (rng.random(n), (rng.random(n) < 0.5).astype(np.float64)):
-        for l2 in (0.0, 0.01):
-            loss, grad = loss_and_grad(w, X, y, l2)
-            ref_loss, ref_grad = reference_loss_and_grad(w, X, y, l2)
-            np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0)
+    scratch = tuple(np.full(n, np.nan) for _ in range(3))  # stale contents must not leak
+    for Xo in (X, np.asfortranarray(X)):  # a fit's design is in column order
+        for y in (rng.random(n), (rng.random(n) < 0.5).astype(np.float64)):
+            for l2 in (0.0, 0.01):
+                ref_loss, ref_grad = reference_loss_and_grad(w, Xo, y, l2)
+                copies = w.copy(), Xo.copy(order="K"), y.copy()
+                for out in (loss_and_grad(w, Xo, y, l2), loss_and_grad(w, Xo, y, l2, scratch)):
+                    np.testing.assert_allclose(out[0], ref_loss, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(out[1], ref_grad, rtol=1e-12, atol=0)
+                for before, after in zip(copies, (w, Xo, y)):
+                    assert np.array_equal(before, after)
+
+
+def test_fit_bits_do_not_depend_on_the_openblas_thread_count():
+    # 49,152 training rows: enough for a threaded BLAS dot to split its sum
+    code = """if True:
+        import hashlib, numpy as np
+        from segnoise import LogisticSegmenter, SynthSpec, TrainConfig, synth_dataset
+        images, masks = synth_dataset(SynthSpec(count=12, shape=(64, 64), blur_sigma=2.0,
+                                                noise_sigma=0.2, seed=1))
+        model = LogisticSegmenter(TrainConfig(learning_rate=1.0, epochs=40)).fit(images, masks)
+        for a in (model.weights, np.array(model.losses), model.predict_logits(images[0])):
+            print(hashlib.sha256(a.tobytes()).hexdigest())
+    """
+    outs = []
+    for threads in ("1", "2"):
+        proc = run_fresh(code, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.split())
+    assert len(outs[0]) == 3
+    for name, one, two in zip(("weights", "losses", "logits"), *outs):
+        assert one == two, f"{name} differ between 1 and 2 OpenBLAS threads"
 
 
 @pytest.mark.parametrize("w0", [np.inf, -np.inf, np.nan])
