@@ -449,10 +449,12 @@ def run_pipeline(spec: SynthSpec, noise: LabelNoise,
 
     The clean and noisy fits are independent, so with two or more CPUs they
     run at the same time in two forked worker processes, unless a fit is too
-    small to repay the fork (``_FIT_GRAIN`` site-epochs). The noisy model
-    comes back with the digest of its data, so the correction loop's first
-    fit is a no-op; the loop and its refits run in this process. The results
-    are the same bits for every CPU count.
+    small to repay the fork (``_FIT_GRAIN`` site-epochs); those workers fork
+    nothing more. The noisy model comes back with the digest of its data, so
+    the correction loop's first fit is a no-op. The loop and its refits run
+    in this process, and each refit splits its epochs with a forked helper
+    over both CPUs (``LogisticSegmenter.fit``). The results are the same
+    bits for every CPU count.
     """
     correction = correction or CorrectionParams()
     train_cfg = train_cfg or TrainConfig()

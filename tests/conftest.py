@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,3 +25,16 @@ def disk9():
     from segnoise import centered_disk
 
     return centered_disk((9, 9), radius=2)
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test after 60 s rather than let a process wait forever."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

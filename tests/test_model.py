@@ -1,5 +1,6 @@
 """Reference segmenter, Theorem-1 error offsets, external-trainer bridge."""
 
+import os
 import threading
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from segnoise import (
     synth_dataset,
     threshold,
 )
+from segnoise import _fanout
 from segnoise import model as model_module
 from segnoise.harness import draw_offsets
 from _oracles import finite_difference_grad, run_fresh
@@ -90,17 +92,105 @@ def test_fused_loss_and_grad_matches_the_written_out_reference():
     w = np.array([0.3, -1.2, 0.8, 0.5])
     f = X @ w
     assert f.min() < -1e3 and f.max() > 1e3 and (f == 0.0).sum() == 5
-    scratch = tuple(np.full(n, np.nan) for _ in range(3))  # stale contents must not leak
+    scratch = np.full((3, n), np.nan)  # stale contents must not leak
     for Xo in (X, np.asfortranarray(X)):  # a fit's design is in column order
         for y in (rng.random(n), (rng.random(n) < 0.5).astype(np.float64)):
+            halves = _fanout.halves_in_turn(model_module._half_sums, n, Xo, y, scratch)
+            split = model_module._split(Xo, y, halves)  # as a fit passes it
             for l2 in (0.0, 0.01):
                 ref_loss, ref_grad = reference_loss_and_grad(w, Xo, y, l2)
                 copies = w.copy(), Xo.copy(order="K"), y.copy()
-                for out in (loss_and_grad(w, Xo, y, l2), loss_and_grad(w, Xo, y, l2, scratch)):
+                for out in (loss_and_grad(w, Xo, y, l2), loss_and_grad(w, Xo, y, l2, split)):
                     np.testing.assert_allclose(out[0], ref_loss, rtol=1e-12, atol=0)
                     np.testing.assert_allclose(out[1], ref_grad, rtol=1e-12, atol=0)
                 for before, after in zip(copies, (w, Xo, y)):
                     assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_loss_and_grad_on_one_or_two_rows(n):
+    # the first half holds no row, then one
+    rng = np.random.default_rng(n)
+    X, y, w = rng.standard_normal((n, 3)), np.array([1.0, 0.0][:n]), rng.standard_normal(3)
+    for l2 in (0.0, 0.1):
+        loss, grad = loss_and_grad(w, X, y, l2)
+        ref_loss, ref_grad = reference_loss_and_grad(w, X, y, l2)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0)
+
+
+@pytest.fixture
+def helper(monkeypatch, deadline):
+    """Force a helper process onto every fit: two CPUs and a grain of one row.
+    Yields the pids that ``fork`` returned to this process."""
+    from segnoise import _fanout
+
+    pids = []
+    real_fork = _fanout.os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(model_module, "_HALF_GRAIN", 1)
+    monkeypatch.setattr(_fanout.os, "fork", fork)
+    yield pids
+    with pytest.raises(ChildProcessError):  # every helper was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fit_bits_do_not_depend_on_the_helper(helper, monkeypatch):
+    images, labels = toy_data(shape=(11, 13), noise=0.3, seed=6)  # 429 rows: halves of 214 and 215
+    cfg = TrainConfig(learning_rate=2.0, epochs=60)
+    with_helper = LogisticSegmenter(cfg).fit(images, labels)
+    assert len(helper) == 1
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 1)
+    alone = LogisticSegmenter(cfg).fit(images, labels)
+    assert len(helper) == 1
+    assert np.array_equal(with_helper.weights, alone.weights)
+    assert with_helper.losses == alone.losses
+
+
+def test_a_diverging_fit_reaps_its_helper(helper):
+    images, labels = toy_data(noise=0.2)
+    with pytest.raises(TrainingDivergedError):
+        LogisticSegmenter(TrainConfig(learning_rate=1e300, epochs=20)).fit(images, labels)
+    assert len(helper) == 1
+
+
+def test_an_error_mid_descent_reaps_the_helper(helper, monkeypatch):
+    real, calls = model_module.loss_and_grad, []
+
+    def fail_on_the_fifth(*args):
+        calls.append(1)
+        if len(calls) == 5:
+            raise MemoryError("mid-descent")
+        return real(*args)
+
+    monkeypatch.setattr(model_module, "loss_and_grad", fail_on_the_fifth)
+    with pytest.raises(MemoryError, match="mid-descent"):
+        LogisticSegmenter(TrainConfig(epochs=20)).fit(*toy_data())
+    assert len(helper) == 1
+
+
+def test_a_helper_that_dies_mid_fit_is_a_clear_error(helper, monkeypatch):
+    real, parent = model_module._half_sums, os.getpid()
+
+    def die_in_the_helper_on_the_third(*args):
+        die_in_the_helper_on_the_third.calls += 1
+        if os.getpid() != parent and die_in_the_helper_on_the_third.calls == 3:
+            os._exit(9)
+        return real(*args)
+
+    die_in_the_helper_on_the_third.calls = 0
+    monkeypatch.setattr(model_module, "_half_sums", die_in_the_helper_on_the_third)
+    with pytest.raises(RuntimeError, match=r"^the helper process computing rows \[216, 432\) "
+                                           r"ended mid-fit with exit code 9$"):
+        LogisticSegmenter(TrainConfig(epochs=20)).fit(*toy_data())
+    assert len(helper) == 1
 
 
 def test_fit_bits_do_not_depend_on_the_openblas_thread_count():
