@@ -22,14 +22,20 @@ everything itself, so two CPUs never carry four busy processes.
 
 Workers are forked rather than spawned: a forked worker starts without
 re-importing numpy, scipy and segnoise, which costs a spawned one about
-0.7 s, more than most calls take. A fork is unsafe while another thread of
-the caller holds a lock that the worker needs. segnoise starts no thread
-before the fork (the executor starts its own after it), and none of these
-loops calls BLAS (the logistic loss runs on numpy's own ``einsum`` loops),
-so OpenBLAS's idle threads are not needed in the workers, and two workers
-do not each start a team of spinning BLAS threads. On Python >= 3.12,
-forking a process that runs threads (OpenBLAS starts some at import)
-raises a DeprecationWarning.
+0.7 s, more than most calls take. A forked worker inherits only what its
+parent had imported, though, and segnoise imports scipy at first use, not
+at ``import segnoise``. So a fan-out whose workers call scipy imports it
+before forking, or each worker pays about 0.35 s to import it anew: the
+validation-bound pool and a smoothed Monte Carlo do so, and the arm fits
+of ``run_pipeline`` come after ``synth_dataset``, which has imported it.
+
+A fork is unsafe while another thread of the caller holds a lock that the
+worker needs. segnoise starts no thread before the fork (the executor
+starts its own after it), and none of these loops calls BLAS (the logistic
+loss runs on numpy's own ``einsum`` loops), so OpenBLAS's idle threads are
+not needed in the workers, and two workers do not each start a team of
+spinning BLAS threads. On Python >= 3.12, forking a process that runs
+threads (OpenBLAS starts some at import) raises a DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -98,16 +104,22 @@ def halves(fn, n: int, grain: int, width: int, *args):
 
     ``x`` is a float64 vector of ``width`` items and ``fn`` returns a
     float64 array. The helper is forked on entry when each half holds at
-    least ``grain`` items and ``worker_count`` would give this process two
-    CPUs. ``both(x)`` then sends ``x`` to the helper over a pipe, computes
-    the first half here and reads the second half back; it returns the same
+    least ``grain`` items, ``_may_fork`` allows it, and this process may
+    run on two CPUs: the CPU count and, where the platform reports one, the
+    process's affinity set (``taskset``, a container's cpuset) both hold
+    two. On one CPU the helper would only take turns with the caller.
+    ``both(x)`` then sends ``x`` to the helper over a pipe, computes the
+    first half here and reads the second half back; it returns the same
     bits as without the helper, because the helper runs the same ``fn`` on
     the same data. The helper leaves when the block ends, however it ends,
     and is reaped before this returns. If the helper dies, ``both`` raises
     RuntimeError rather than wait for it.
     """
     mid = n // 2
-    if min(os.cpu_count() or 1, n // grain) < 2 or not _may_fork():
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    if min(cpus, n // grain) < 2 or not _may_fork():
         yield halves_in_turn(fn, n, *args)
         return
     requests, to_helper = os.pipe()

@@ -7,6 +7,7 @@ command ran fine but the property under test failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -487,9 +488,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser that ``main`` uses, built at its first call. Parsing reads
+    it and changes nothing in it, so one serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

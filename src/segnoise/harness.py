@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import betaincinv
 
 from ._fanout import map_ranges
 from .correct import (CorrectionParams, ValidationBoundInputs,
@@ -142,6 +140,10 @@ def synth_masks(spec: SynthSpec) -> Iterator[np.ndarray]:
 
 def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Generate (images, masks). Image i continues mask i's child stream."""
+    # imported at first use, not by `import segnoise`, and also without blur:
+    # run_pipeline forks its arm fits after this, and their features need it
+    from scipy import ndimage
+
     children = np.random.SeedSequence(spec.seed).spawn(spec.count)
     images, masks = [], []
     for child in children:
@@ -345,6 +347,9 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
     pool_ss, trial_ss = np.random.SeedSequence(seed).spawn(2)
     spec = SynthSpec(count=pool_size, shape=tuple(grid_shape), family=family,
                      seed=int(pool_ss.generate_state(1)[0]))
+    # the workers call signed_distance: import its scipy here, before the
+    # fork, or each worker pays about 0.35 s to import it anew
+    import scipy.ndimage  # noqa: F401
     parts = map_ranges(_pool_gaps, pool_size, os.cpu_count() or 1, _POOL_GRAIN,
                        spec, theta1, theta2)
     gaps, lo, hi = np.concatenate(parts, axis=1)
@@ -367,6 +372,8 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
 
     # Clopper-Pearson bounds: beta quantiles, read straight from the
     # incomplete-beta inverse so that scipy.stats is never imported
+    from scipy.special import betaincinv
+
     rate = failures / n_trials
     lb = float(betaincinv(failures, n_trials - failures + 1, 0.05)) if failures else 0.0
     ci_lo = float(betaincinv(failures, n_trials - failures + 1, 0.025)) if failures else 0.0

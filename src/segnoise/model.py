@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from scipy import ndimage
 
 from . import _fanout
 from .grid import as_field, as_mask
@@ -74,6 +73,8 @@ def _features(image: np.ndarray, radii: tuple[int, ...],
     The columns are written into ``out`` (rows = sites) when given, else
     into a new column-order array; either way each column is contiguous.
     """
+    from scipy import ndimage  # imported at first use: most commands never fit
+
     img = as_field(image)
     if out is None:
         out = np.empty((img.size, 2 + len(radii)), order="F")

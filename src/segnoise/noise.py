@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ._fanout import map_ranges
 from .grid import as_mask, boundary_layer, dilate_one, erode_one
@@ -201,6 +200,8 @@ def _run_process(mask: np.ndarray, params: MarkovNoiseParams,
     out = grid[(slice(1, -1),) * grid.ndim] == 1
     flat = out.reshape(-1)
     if params.smooth_sigma > 0:
+        from scipy import ndimage  # only a smoothed walk needs scipy
+
         blurred = ndimage.gaussian_filter(out.astype(np.float64), params.smooth_sigma,
                                           mode="constant", cval=0.0, truncate=3.0)
         out = blurred >= 0.5
@@ -252,6 +253,10 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     entropy = np.random.SeedSequence(params.seed).entropy
     state = _walk_state(m)  # every sample starts from the same bands
+    if params.smooth_sigma > 0:
+        # each sample smooths with scipy: import it before the fork, or each
+        # worker pays about 0.35 s to import it anew
+        import scipy.ndimage  # noqa: F401
     parts = map_ranges(_mc_votes, n_samples, threads, _MC_GRAIN, m, params, state, entropy)
     return np.sum(parts, axis=0) / float(n_samples)  # integer sum: order-independent
 

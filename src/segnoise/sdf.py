@@ -23,7 +23,6 @@ outwards, plus the per-axis L1 distance to the box.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import as_field, as_mask, dilate_one, erode_one
 
@@ -46,6 +45,8 @@ def signed_distance(mask) -> np.ndarray:
     with no obstacles, grid shortest paths have length equal to the L1
     displacement.
     """
+    from scipy import ndimage  # imported at first use, not by `import segnoise`
+
     m = as_mask(mask)
     layers = dilate_one(m) ^ erode_one(m)
     flat = np.flatnonzero(layers)

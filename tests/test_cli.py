@@ -5,11 +5,12 @@ asserted directly. Two tests shell out to the entry points: one always runs
 ``python -m segnoise`` and the ``[project.scripts]`` target declared in
 ``pyproject.toml`` the way the generated wrapper calls it; the other runs the
 ``segnoise`` script itself and only when it is on ``PATH``, which it is only
-after the package is installed. One more imports the CLI in a fresh
-interpreter to see which modules a cold start loads.
+after the package is installed. A few more run the CLI in a fresh
+interpreter to see which modules a cold start and a command load.
 """
 
 import hashlib
+import json
 import re
 import shutil
 import struct
@@ -20,9 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segnoise import (MarkovNoiseParams, dilate_one, estimate_bias, generate,
-                      sdf_gap, signed_distance)
-from segnoise.cli import main
+from segnoise import (MarkovNoiseParams, centered_disk, dilate_one, estimate_bias,
+                      generate, sdf_gap, signed_distance)
+from segnoise.cli import build_parser, main
 from segnoise.formats import load_field, load_mask, save_field, save_mask
 from _oracles import run_fresh
 
@@ -81,6 +82,21 @@ def test_unknown_flag_is_a_usage_error(capsys):
     rc, _, err = run(capsys, "bound", "--nope", "1")
     assert rc == 1
     assert "usage error" in err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from segnoise import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for argv in (BOUND_ARGV, ["bound", "--nope", "1"], BOUND_ARGV, ["sdf"]):
+            run(capsys, *argv)
+        assert run(capsys, *BOUND_ARGV) == (0, "2956\n", "")
+    finally:
+        cli._parser.cache_clear()  # later tests build their own from the real one
+    assert built == [1]
 
 
 # ---------------------------------------------------------------- synth
@@ -586,6 +602,48 @@ def test_console_script_on_path_answers():
 def test_cli_import_leaves_scipy_stats_unloaded():
     proc = run_fresh("import segnoise.cli, sys; sys.exit('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
+
+
+SCIPY_LOADED_AFTER = """\
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import segnoise.cli
+loaded = {"import": scipy_modules()}
+for name, argv in %r:
+    loaded[name] = [segnoise.cli.main(argv), scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def test_bound_and_an_unsmoothed_gen_noise_load_no_scipy(tmp_path):
+    # scipy takes most of a cold start to import, and neither command calls
+    # it; the commands that do import it at first use and write the same bytes
+    mask = tmp_path / "mask.gtf"
+    save_mask(centered_disk((20, 24)), mask)
+    noise = ["gen-noise", "--mask", str(mask), "--preset", "tiny-se", "--seed", "4"]
+
+    def argvs(out):
+        return [("bound", BOUND_ARGV),
+                ("gen-noise", [*noise, "--out", str(out / "noisy.gtf")]),
+                ("smoothed", [*noise, "--smooth-sigma", "1", "--out", str(out / "smoothed.gtf")]),
+                ("sdf", ["sdf", "--mask", str(mask), "--out", str(out / "sdf.gtf")])]
+
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    proc = run_fresh(SCIPY_LOADED_AFTER % argvs(fresh))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["import"] == []
+    assert loaded["bound"] == [0, []]
+    assert loaded["gen-noise"] == [0, []]
+    assert loaded["smoothed"][0] == 0 and "scipy.ndimage" in loaded["smoothed"][1]
+    assert loaded["sdf"][0] == 0
+    for _, argv in argvs(here):
+        assert main(argv) == 0
+    for name in ("noisy.gtf", "smoothed.gtf", "sdf.gtf"):
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -1,6 +1,7 @@
 """The fan-out of index ranges over forked worker processes."""
 
 import concurrent.futures
+import json
 import multiprocessing
 import os
 
@@ -9,6 +10,7 @@ import pytest
 
 from segnoise import _fanout
 from segnoise._fanout import map_ranges
+from _oracles import run_fresh
 
 
 def span(tag, lo, hi):
@@ -23,8 +25,10 @@ def fail_past_zero(lo, hi):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    def set_count(n):
+    def set_count(n):  # in the CPU count and in this process's affinity set
         monkeypatch.setattr(_fanout.os, "cpu_count", lambda: n)
+        monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
     return set_count
 
 
@@ -95,6 +99,20 @@ def test_halves_split_at_the_middle_with_or_without_a_helper(cpus, deadline, n):
     assert_no_child_left()
 
 
+def test_no_helper_is_forked_for_a_process_pinned_to_one_cpu(cpus, monkeypatch):
+    # taskset -c 0 on a 2-CPU host: the helper would share the caller's CPU
+    def no_fork():
+        raise AssertionError("a helper process was forked")
+
+    cpus(2)
+    monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(_fanout.os, "fork", no_fork)
+    with _fanout.halves(where, 10, 1, 2) as both:
+        first, second = both(np.array([1.0, 2.5]))
+    assert first.tolist() == [0, 5, 3.5, os.getpid()]
+    assert second.tolist() == [5, 10, 3.5, os.getpid()]
+
+
 def test_the_helper_is_reaped_when_the_block_raises(cpus, deadline):
     cpus(2)
     with pytest.raises(KeyError):
@@ -123,3 +141,49 @@ def test_a_helper_that_dies_makes_the_caller_raise(cpus, deadline):
                 both(np.zeros(1))
             both(np.zeros(1))
     assert_no_child_left()
+
+
+# A forked worker inherits its parent's modules but imports anything else
+# anew, about 0.35 s for scipy.ndimage, so a fan-out whose workers call scipy
+# must find it imported when it forks. A fresh interpreter starts without it.
+SCIPY_AT_FORK = """\
+import json, os, sys
+os.cpu_count = lambda: 2
+from segnoise import (CorrectionParams, MarkovNoiseParams, SynthSpec, TrainConfig,
+                      ValidationBoundInputs, centered_disk, harness, noise)
+seen = []
+def watch(module):
+    fan_out = module.map_ranges
+    def map_ranges(fn, *args):
+        seen.append([fn.__name__, "scipy.ndimage" in sys.modules])
+        return fan_out(fn, *args)
+    module.map_ranges = map_ranges
+watch(harness)
+watch(noise)
+%s
+print(json.dumps(seen))
+"""
+
+SCIPY_FAN_OUTS = {
+    # V = 51 plus 60 held out: a pool of 111 12x12 masks, two workers
+    "_pool_gaps": """harness.verify_validation_bound(
+        ValidationBoundInputs(eps0=0.5, eps1=2.0, eps=1.0, alpha=0.5, image_size=144),
+        n_trials=5, holdout=60, seed=3)""",
+    "_mc_votes": """noise.expected_label_mc(
+        centered_disk((9, 9), radius=3),
+        MarkovNoiseParams(steps=2, theta1=0.6, theta2=0.7, smooth_sigma=0.8, seed=5),
+        2000, threads=2)""",
+    # blur 0, so that synth_dataset calls no scipy; the fits' features do
+    "_fit_arms": """harness.run_pipeline(
+        SynthSpec(count=8, shape=(16, 16), blur_sigma=0.0, noise_sigma=0.2),
+        MarkovNoiseParams(steps=2, theta1=0.9, theta2=0.6), CorrectionParams(max_iters=1),
+        TrainConfig(learning_rate=1.0, epochs=60), n_val=2, n_test=2)""",
+}
+
+
+@pytest.mark.parametrize("fan_out", sorted(SCIPY_FAN_OUTS))
+def test_a_fan_out_whose_workers_call_scipy_imports_it_before_forking(fan_out):
+    proc = run_fresh(SCIPY_AT_FORK % SCIPY_FAN_OUTS[fan_out])
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [[fan_out, True]]

@@ -121,8 +121,9 @@ def test_loss_and_grad_on_one_or_two_rows(n):
 
 @pytest.fixture
 def helper(monkeypatch, deadline):
-    """Force a helper process onto every fit: two CPUs and a grain of one row.
-    Yields the pids that ``fork`` returned to this process."""
+    """Force a helper process onto every fit: two CPUs, in the count and in
+    the affinity set, and a grain of one row. Yields the pids that ``fork``
+    returned to this process."""
     from segnoise import _fanout
 
     pids = []
@@ -135,6 +136,7 @@ def helper(monkeypatch, deadline):
         return pid
 
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(model_module, "_HALF_GRAIN", 1)
     monkeypatch.setattr(_fanout.os, "fork", fork)
     yield pids
