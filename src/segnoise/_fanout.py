@@ -58,15 +58,25 @@ def _may_fork() -> bool:
             and multiprocessing.parent_process() is None)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: the CPU count and, where the platform
+    reports one, the process's affinity set (``taskset``, a container's
+    cpuset), whichever is smaller."""
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    return cpus
+
+
 def worker_count(requested: int, n: int, grain: int) -> int:
     """Processes that ``map_ranges`` runs for ``n`` items: the request capped
-    at the CPU count and at the number of chunks of ``grain`` items.
+    at ``_cpus()`` and at the number of chunks of ``grain`` items.
 
     It is one where the platform cannot fork, and one inside any process
     that ``multiprocessing`` started: an arm worker of ``run_pipeline``, and
     also a worker of the caller's own pool, which already has its CPU.
     """
-    count = max(1, min(int(requested), os.cpu_count() or 1, n // grain))
+    count = max(1, min(int(requested), _cpus(), n // grain))
     return count if count == 1 or _may_fork() else 1
 
 
@@ -105,9 +115,8 @@ def halves(fn, n: int, grain: int, width: int, *args):
     ``x`` is a float64 vector of ``width`` items and ``fn`` returns a
     float64 array. The helper is forked on entry when each half holds at
     least ``grain`` items, ``_may_fork`` allows it, and this process may
-    run on two CPUs: the CPU count and, where the platform reports one, the
-    process's affinity set (``taskset``, a container's cpuset) both hold
-    two. On one CPU the helper would only take turns with the caller.
+    run on two CPUs (``_cpus()``). On one CPU the helper would only take
+    turns with the caller.
     ``both(x)`` then sends ``x`` to the helper over a pipe, computes the
     first half here and reads the second half back; it returns the same
     bits as without the helper, because the helper runs the same ``fn`` on
@@ -116,10 +125,7 @@ def halves(fn, n: int, grain: int, width: int, *args):
     RuntimeError rather than wait for it.
     """
     mid = n // 2
-    cpus = os.cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = min(cpus, len(os.sched_getaffinity(0)))
-    if min(cpus, n // grain) < 2 or not _may_fork():
+    if min(_cpus(), n // grain) < 2 or not _may_fork():
         yield halves_in_turn(fn, n, *args)
         return
     requests, to_helper = os.pipe()

@@ -89,9 +89,15 @@ class SynthSpec:
 
 
 def _ball(shape: tuple[int, ...], center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    grids = np.ogrid[tuple(slice(0, e) for e in shape)]
+    # the quadric is evaluated on the ball's bounding box widened by one
+    # site; beyond it one term alone exceeds 1
+    box = tuple(slice(max(0, math.floor(c - r) - 1), min(e, math.ceil(c + r) + 2))
+                for e, c, r in zip(shape, center, radii))
+    grids = np.ogrid[box]
     q = sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii))
-    return q <= 1.0
+    out = np.zeros(shape, dtype=bool)
+    np.less_equal(q, 1.0, out=out[box])
+    return out
 
 
 def _draw_mask(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
@@ -282,8 +288,9 @@ def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> 
     return sign * eps1 * hit
 
 
-# the fewest pool masks that repay a worker process: a mask takes 0.5 ms at
-# 32^2 and 2.3 ms at 256^2, and two workers broke even near 100 masks at 32^2
+# the fewest pool masks that repay a worker process: a mask takes 0.4-0.7 ms
+# at 32^2 and 1.6-2.4 ms at 256^2; two workers broke even near 150-200
+# masks at 32^2 and 20-40 at 256^2
 _POOL_GRAIN = 50
 
 
@@ -294,7 +301,10 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
     out = np.empty((3, hi - lo))
     for k in range(hi - lo):
         mask = _nth_mask(spec, lo + k)
-        diff = signed_distance(bayes_mask_one_step(mask, theta1, theta2)) - signed_distance(mask)
+        # in place: a third grid-sized array per mask costs about 0.5 ms at
+        # 256^2 in page faults, as the allocator hands its pages back
+        diff = signed_distance(bayes_mask_one_step(mask, theta1, theta2))
+        diff -= signed_distance(mask)
         out[:, k] = diff.mean(), diff.min(), diff.max()
     return out
 
@@ -318,8 +328,8 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
 
     Per-trial draw order: offset hit coins, offset sign coins, then the
     pool permutation. Pool mask i is drawn from the i-th child seed, as in
-    ``synth_masks``; the pool is built in up to ``os.cpu_count()`` worker
-    processes, and the report is the same for every CPU count.
+    ``synth_masks``; the pool is built in up to one worker process per CPU
+    this process may use, and the report is the same for every CPU count.
     """
     t0 = time.perf_counter()
     if inputs.alpha > 1.0:

@@ -24,8 +24,11 @@ and after each step recomputes membership only at the flipped sites and
 their neighbours. Apart from one pass over a boolean array that lists the
 chosen layer's sites in row-major order, a step costs time in proportion to
 its boundary band rather than to the grid. Monte Carlo samples share one
-starting state, so the first step's bands are built once per call. Neither
-changes the draw order above.
+starting state: the first step's bands are built once per call, and come
+with each band's sites already listed in row-major order, so the first step
+scans nothing. Votes are tallied in uint8 and added to the int64 counts
+every 255 samples, before a tally can wrap. None of this changes the draw
+order above.
 """
 
 from __future__ import annotations
@@ -155,17 +158,18 @@ def load_presets(path) -> dict[str, MarkovNoiseParams]:
     return out
 
 
-def _walk_state(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _walk_state(mask: np.ndarray) -> tuple[np.ndarray, list, list]:
     """The walk's starting point: the mask as an int8 grid padded by one ring
-    of -1 sites, then its shrink and expand boundary layers padded with False.
+    of -1 sites, its shrink and expand boundary layers padded with False, and
+    each layer's sites as flat indices into the padded grid.
 
     The ring makes every in-grid site's neighbours addressable without edge
     cases or wrapping, and it holds no boundary site, so the row-major order
     of a padded layer's sites is that of the unpadded grid.
     """
-    return (np.pad(mask.astype(np.int8), 1, constant_values=-1),
-            np.pad(boundary_layer(mask, False), 1),
-            np.pad(boundary_layer(mask, True), 1))
+    layers = [np.pad(boundary_layer(mask, expand), 1) for expand in (False, True)]
+    return (np.pad(mask.astype(np.int8), 1, constant_values=-1), layers,
+            [np.flatnonzero(a) for a in layers])
 
 
 def _run_process(mask: np.ndarray, params: MarkovNoiseParams,
@@ -175,7 +179,7 @@ def _run_process(mask: np.ndarray, params: MarkovNoiseParams,
     ``state`` is ``_walk_state(mask)`` for callers that walk one mask many
     times; it is read, never written.
     """
-    grid, *layers = _walk_state(mask) if state is None else state
+    grid, layers, start = _walk_state(mask) if state is None else state
     grid = grid.copy()
     if params.steps > 1:  # the last step leaves the layers as they are
         layers = [a.copy() for a in layers]
@@ -185,7 +189,8 @@ def _run_process(mask: np.ndarray, params: MarkovNoiseParams,
     bands = [a.reshape(-1) for a in layers]  # indexed by the expand coin
     for step in range(params.steps):
         expand = rng.random() < params.theta1
-        sites = np.flatnonzero(bands[expand])  # row-major draw order
+        # row-major draw order; the first step's sites come with the state
+        sites = np.flatnonzero(bands[expand]) if step else start[expand]
         if sites.size:
             flipped = sites[rng.random(sites.size) < params.theta2]
             flat[flipped] = expand
@@ -221,8 +226,9 @@ def generate(mask, params: MarkovNoiseParams) -> np.ndarray:
 
 
 # the fewest samples that repay a worker process: on a 64^2 disk a one-step
-# sample takes 50-100 us and a two-worker fan-out adds about 20 ms, so two
-# workers broke even near 2,000 samples and halved 16,000
+# sample takes 35-55 us and a two-worker fan-out adds about 20 ms; two
+# workers broke even between 1,500 and 3,000 samples, within the spread of
+# these timings, and win at 16,000
 _MC_GRAIN = 1000
 
 
@@ -231,9 +237,12 @@ def _mc_votes(mask: np.ndarray, params: MarkovNoiseParams, state, entropy,
     """Foreground votes of samples lo..hi-1; sample i draws from the i-th
     child of ``SeedSequence(entropy)``."""
     counts = np.zeros(mask.shape, dtype=np.int64)
-    for i in range(lo, hi):
-        child = np.random.SeedSequence(entropy, spawn_key=(i,))  # = spawn(n)[i]
-        counts += _run_process(mask, params, np.random.default_rng(child), state)
+    for first in range(lo, hi, 255):  # a uint8 tally holds 255 votes
+        votes = np.zeros(mask.shape, dtype=np.uint8)
+        for i in range(first, min(first + 255, hi)):
+            child = np.random.SeedSequence(entropy, spawn_key=(i,))  # = spawn(n)[i]
+            votes += _run_process(mask, params, np.random.default_rng(child), state).view(np.uint8)
+        counts += votes
     return counts
 
 
@@ -243,10 +252,11 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
 
     Sample i uses the i-th child seed of ``params.seed``, so results do not
     depend on n_samples beyond truncation. ``threads`` asks for worker
-    processes, each given a consecutive range of samples; at most
-    ``os.cpu_count()`` run, and calls too small to repay a fork run in this
-    process. Integer vote counts make the sum exact, so the field is the
-    same for every ``threads``.
+    processes, each given a consecutive range of samples; at most one per
+    CPU this process may use runs (the CPU count, capped by its affinity
+    set), and calls too small to repay a fork run in this process. Integer
+    vote counts make the sum exact, so the field is the same for every
+    ``threads``.
     """
     m = as_mask(mask)
     if n_samples < 1:

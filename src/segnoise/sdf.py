@@ -14,10 +14,14 @@ foreground-layer site is nearer than that foreground site; the same holds
 with the labels swapped. So |phi(x)| = 1 + d(x, L) at every site, and the
 sign comes from the mask.
 
-The transform runs on L's bounding box only. For x outside the box, let p be
-x clipped into the box. Every y in the box satisfies |x-y|_1 = |x-p|_1 +
-|p-y|_1, so d(x, L) = |x-p|_1 + d(p, L): the box's edge values, padded
-outwards, plus the per-axis L1 distance to the box.
+Every site of L lies within one step of a foreground site, so L is found on
+the foreground's bounding box grown by one site, and nothing outside that
+crop is on a layer. The transform then runs on L's bounding box only. For x
+outside the box, let p be x clipped into the box. Every y in the box
+satisfies |x-y|_1 = |x-p|_1 + |p-y|_1, so d(x, L) = |x-p|_1 + d(p, L): the
+box's edge values carried outwards by slice writes, one more per step, one
+axis after another. Every value is a small integer held in float64, so each
+order of additions gives the same bits.
 """
 
 from __future__ import annotations
@@ -48,23 +52,41 @@ def signed_distance(mask) -> np.ndarray:
     from scipy import ndimage  # imported at first use, not by `import segnoise`
 
     m = as_mask(mask)
-    layers = dilate_one(m) ^ erode_one(m)
-    flat = np.flatnonzero(layers)
-    if flat.size == 0:
+    crop = _box(m)
+    if crop is None:
         raise DegenerateMaskError("mask is all foreground or all background")
-    hits = np.unravel_index(flat, m.shape)
-    lo = [int(h.min()) for h in hits]
-    hi = [int(h.max()) + 1 for h in hits]
-    box = tuple(slice(a, b) for a, b in zip(lo, hi))
-    inner = ndimage.distance_transform_cdt(~layers[box], metric="taxicab")
-    pads = [(a, n - b) for a, b, n in zip(lo, hi, m.shape)]
-    phi = np.pad(inner + 1.0, pads, mode="edge")
-    for axis, (a, b) in enumerate(pads):
-        if a or b:
-            i = np.arange(m.shape[axis])
-            off = np.abs(i - np.clip(i, lo[axis], hi[axis] - 1))  # |x - p| along this axis
-            phi += off.reshape((-1,) + (1,) * (m.ndim - 1 - axis))
+    crop = tuple(slice(max(0, c.start - 1), min(n, c.stop + 1)) for c, n in zip(crop, m.shape))
+    layers = dilate_one(m[crop]) ^ erode_one(m[crop])
+    inner = _box(layers)
+    if inner is None:
+        raise DegenerateMaskError("mask is all foreground or all background")
+    box = tuple(slice(c.start + b.start, c.start + b.stop) for c, b in zip(crop, inner))
+    phi = np.empty(m.shape)
+    np.add(ndimage.distance_transform_cdt(~layers[inner], metric="taxicab"), 1.0, out=phi[box])
+    for axis, (b, n) in enumerate(zip(box, m.shape)):
+        # the rows before and after the box along this axis, already full
+        # along the axes before it and still box-sized along those after it
+        head, tail = (slice(None),) * axis, box[axis + 1:]
+        for edge, rows, steps in ((b.start, slice(0, b.start), np.arange(b.start, 0, -1.0)),
+                                  (b.stop - 1, slice(b.stop, n), np.arange(1.0, n - b.stop + 1))):
+            if steps.size:
+                np.add(phi[head + (slice(edge, edge + 1),) + tail],
+                       steps.reshape((-1,) + (1,) * len(tail)), out=phi[head + (rows,) + tail])
     return np.negative(phi, out=phi, where=m)
+
+
+def _box(a: np.ndarray) -> tuple[slice, ...] | None:
+    """The bounding box of ``a``'s true sites, None if it has none; each axis
+    reduces only what the axes before it left."""
+    box = []
+    for axis in range(a.ndim):
+        sub = a[tuple(box)]
+        flags = sub.any(axis=tuple(k for k in range(a.ndim) if k != axis))
+        first = int(flags.argmax())
+        if not flags[first]:
+            return None
+        box.append(slice(first, flags.size - int(flags[::-1].argmax())))
+    return tuple(box)
 
 
 def sdf_gap(predicted, clean) -> float:

@@ -52,6 +52,27 @@ def test_one_worker_or_a_small_input_starts_no_process(cpus, monkeypatch):
     assert map_ranges(span, 10, 4, 1, "t") == [("t", 0, 10, os.getpid())]
 
 
+def test_no_worker_is_started_for_a_process_pinned_to_one_cpu(cpus, monkeypatch):
+    # taskset -c 0 on a 2-CPU host: two workers would take turns on one CPU
+    from segnoise import centered_disk, expected_label_mc, noise
+    from segnoise.noise import MarkovNoiseParams
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    mask = centered_disk((9, 9), radius=3)
+    p = MarkovNoiseParams(steps=1, theta1=0.6, theta2=0.7, seed=4)
+    n = 2 * noise._MC_GRAIN
+    cpus(1)
+    alone = expected_label_mc(mask, p, n, threads=1)
+    cpus(2)
+    monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert _fanout.worker_count(2, 100, 1) == 1
+    assert map_ranges(span, 10, 2, 1, "t") == [("t", 0, 10, os.getpid())]
+    assert np.array_equal(expected_label_mc(mask, p, n, threads=2), alone)
+
+
 def test_a_worker_exception_reaches_the_caller(cpus):
     cpus(2)
     with pytest.raises(ValueError, match=r"^range \[3, 7\) refused$"):

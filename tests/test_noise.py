@@ -316,6 +316,43 @@ def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpu
     assert np.array_equal(expected_label_mc(mask, p, n, threads=2), votes / n)
 
 
+# sha256 of the float64 field, recorded from the walk that scanned the padded
+# layer at its first step and summed every sample's votes into int64. The
+# one-step counts straddle 255 samples per process, with one process and with
+# two; interior sites vote in every sample.
+MC_CONFIGS = {
+    "one-step": params(theta1=0.7, theta2=0.6, seed=5),
+    "six-steps-theta3": params(steps=6, theta1=0.5, theta2=0.4, theta3=0.05, seed=6),
+    "smoothed": params(steps=3, theta1=0.6, theta2=0.5, smooth_sigma=0.8, seed=7),
+}
+MC_DIGESTS = {
+    ("one-step", 254): "6c7a1ab21f108678d40962025035d96be6a9739f22a7ab244f55bca52b76d2b7",
+    ("one-step", 255): "07bc953c1c9a0357d26d06c58aa4f2f7b2d5229cedfc1ea82ffbb388c9a8cdb7",
+    ("one-step", 256): "f5a250d8b0c71746b83da991774bdc49ec27ac9f0b5db0bc1f1d6e806bf6310e",
+    ("one-step", 511): "a26bfdc51ecb0ab3f8ea95dc78fa821fb1d4a2b0c6f979adf8bde8f657a594d9",
+    ("one-step", 508): "c3d33931bf00c553cf9477e27c1cbc35c86a35ed30116c0a22f89ef83997a23d",
+    ("one-step", 510): "1e979fd86fdee87b0c4e3bc73459b48db7ef2076b0cbcfe3cab8b8740ed271eb",
+    ("one-step", 512): "5f313ae9523bd73fd3b72f7e544119d5316573fcfcb34b1d29367bd7d213047b",
+    ("one-step", 1022): "ba2816e742ffaf942afd50a6cbce5f6f133bbeb741d45a845e902120487f4302",
+    ("six-steps-theta3", 300): "af8073b36daf61ca5d57037c929ab14b70523cf5cd3a18ca3f0624f1ef685558",
+    ("smoothed", 300): "7fd9803e4d674689cb5beee32cf1be0824982b6c13e47ee751ce43a914c61c6e",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name,n", list(MC_DIGESTS))
+def test_mc_fields_keep_their_bits(monkeypatch, name, n, threads):
+    from segnoise import _fanout, noise
+
+    # two processes at any sample count: each takes n // 2 or so
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(noise, "_MC_GRAIN", 1)
+    (mask,) = synth_masks(SynthSpec(count=1, shape=(32, 32), family="ellipse-unions", seed=4))
+    field = expected_label_mc(mask, MC_CONFIGS[name], n, threads=threads)
+    assert hashlib.sha256(field.tobytes()).hexdigest() == MC_DIGESTS[name, n]
+
+
 def test_mc_with_dead_coins_equals_the_mask(disk9):
     field = expected_label_mc(disk9, params(steps=3, theta2=0.0), n_samples=100)
     assert np.array_equal(field, disk9.astype(float))
@@ -338,6 +375,8 @@ def test_mc_threads_are_capped_at_the_cpu_count(monkeypatch):
 
     grain = noise._MC_GRAIN
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     assert _fanout.worker_count(10**6, 10**9, grain) == 4
     assert _fanout.worker_count(3, 10**9, grain) == 3
     assert _fanout.worker_count(4, 4 * grain, grain) == 4

@@ -106,6 +106,67 @@ def test_matches_the_two_transform_formula_where_layers_meet_the_edge(m):
     assert_same_field(signed_distance(m), cdt_signed_distance(m))
 
 
+def assert_both_oracles(m):
+    phi = signed_distance(m)
+    assert_same_field(phi, cdt_signed_distance(m))
+    assert_same_field(phi, brute_signed_distance(m))
+
+
+def block(shape, where, side=2):
+    """A side^ndim block placed by ``where``: per axis -1 flush with the low
+    edge, +1 flush with the high edge, 0 in the middle."""
+    m = np.zeros(shape, dtype=bool)
+    m[tuple(slice(0, side) if w < 0 else slice(n - side, n) if w > 0
+               else slice((n - side) // 2, (n - side) // 2 + side)
+               for n, w in zip(shape, where))] = True
+    return m
+
+
+PLACES = {2: [w for w in np.ndindex(3, 3)], 3: [w for w in np.ndindex(3, 3, 3)]}
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (6, 7, 8)], ids=["9x11", "6x7x8"])
+def test_blocks_at_every_edge_and_corner_and_their_complements(shape):
+    # where the block sits in the middle, the layers lie far from every edge
+    for where in PLACES[len(shape)]:
+        m = block(shape, [w - 1 for w in where])
+        assert_both_oracles(m)
+        assert_both_oracles(~m)
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 4, 3)], ids=["5x6", "3x4x3"])
+def test_one_site_and_all_but_one_site_masks(shape):
+    for flat in range(int(np.prod(shape))):
+        m = np.zeros(shape, dtype=bool)
+        m.reshape(-1)[flat] = True
+        assert_both_oracles(m)
+        assert_both_oracles(~m)
+
+
+@pytest.mark.parametrize("shape", [(10, 60), (5, 6, 40)], ids=["10x60", "5x6x40"])
+def test_two_components_with_a_wide_gap(shape):
+    m = np.zeros(shape, dtype=bool)
+    m[..., 2:5] = True
+    m[(slice(1, 3),) * (len(shape) - 1) + (slice(-4, -1),)] = True
+    assert_both_oracles(m)
+    assert_both_oracles(~m)
+
+
+@pytest.mark.parametrize("shape", [(81, 97), (40, 36, 44)], ids=["81x97", "40x36x44"])
+def test_shapes_far_from_every_edge(shape):
+    m = centered_disk(shape, radius=6)
+    m[tuple(n // 2 for n in shape)] = False  # and one hole in the middle
+    for x in (m, dilate_one(m), erode_one(m), ~m):
+        assert_same_field(signed_distance(x), cdt_signed_distance(x))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (4, 5), (1, 1, 1), (3, 1, 4)])
+@pytest.mark.parametrize("fill", [False, True], ids=["background", "foreground"])
+def test_every_uniform_mask_is_degenerate(shape, fill):
+    with pytest.raises(DegenerateMaskError, match="^mask is all foreground or all background$"):
+        signed_distance(np.full(shape, fill))
+
+
 @given(nondegenerate_2d)
 def test_field_invariants(m):
     phi = signed_distance(m)
