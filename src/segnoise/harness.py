@@ -24,7 +24,7 @@ from .grid import as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig
 from .noise import (MarkovNoiseParams, _one_step_regime, bayes_mask_one_step,
                     expected_label_mc, generate)
-from .sdf import signed_distance
+from .sdf import DegenerateMaskError, _box, signed_distance
 
 __all__ = [
     "SynthSpec",
@@ -166,9 +166,12 @@ def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def centered_disk(shape: tuple[int, ...], radius: int | None = None) -> np.ndarray:
-    """Deterministic centered ball fixture (radius defaults to min extent / 4)."""
+    """Deterministic centered ball fixture (radius defaults to min extent / 4,
+    and must be at least 1)."""
     if radius is None:
         radius = max(2, min(shape) // 4)
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
     center = np.array([(e - 1) / 2.0 for e in shape])
     return _ball(tuple(shape), center, np.full(len(shape), float(radius)))
 
@@ -243,10 +246,15 @@ def verify_bayes_mask(mask, theta1: float, theta2: float, theta3: float,
     step draws, thresholds it at 1/2, and compares with
     ``bayes_mask_one_step`` on every *decided* site: a site is undecided
     when its frequency lies within 3 binomial standard errors of 1/2, where
-    a vote either way would be noise.
+    a vote either way would be noise. A mask with no boundary (all
+    foreground or all background) raises DegenerateMaskError: no site of it
+    can move, so every site would pass as decided.
     """
     t0 = time.perf_counter()
     m = as_mask(mask)
+    if m.all() or not m.any():
+        raise DegenerateMaskError("mask is all foreground or all background; "
+                                  "a one-step check needs a boundary")
     params = MarkovNoiseParams(steps=1, theta1=theta1, theta2=theta2,
                                theta3=theta3, seed=seed)
     mean = expected_label_mc(m, params, n_samples, threads=threads)
@@ -288,24 +296,57 @@ def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> 
     return sign * eps1 * hit
 
 
-# the fewest pool masks that repay a worker process: a mask takes 0.4-0.7 ms
-# at 32^2 and 1.6-2.4 ms at 256^2; two workers broke even near 150-200
-# masks at 32^2 and 20-40 at 256^2
+# the fewest pool masks that repay a worker process; two workers start from
+# twice this many. A mask takes 0.4-0.6 ms at 32^2 and 0.9-1.3 ms at 256^2;
+# two workers broke even between 100 and 150 masks at 32^2 (medians of 7
+# calls: 59 ms in one process and 61 ms in two at 100, 94 and 80 ms at 150)
+# and between 40 and 60 at 256^2 (51 and 54 ms at 40, 81 and 68 ms at 60)
 _POOL_GRAIN = 50
 
 
 def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
                lo: int, hi: int) -> np.ndarray:
     """Rows mean, min and max of the SDF gap between the one-step
-    most-likely mask and the clean mask, one column per pool mask lo..hi-1."""
+    most-likely mask and the clean mask, one column per pool mask lo..hi-1.
+
+    Each mask is cropped to its foreground box grown by 2 sites and clipped
+    to the grid, and everything is computed on the crop, with the same bits
+    as over the whole grid:
+
+    * The most-likely mask is the mask, its erosion or its dilation, so its
+      foreground lies within the box grown by 1, and the two masks differ
+      only inside the crop. Every crop site within one step of a foreground
+      site lies inside the crop or on the grid's edge, so the one-step
+      morphology of the crop sees the same neighbours as on the grid. Both
+      masks' boundary layers L lie within one step of their foreground, so
+      inside the crop, and a crop's signed distance equals the full one on
+      the crop.
+    * A site x outside the crop is background in both masks, as is the crop
+      site p that x clips to, and |phi(x)| = 1 + |x-p|_1 + d(p, L) in both
+      fields (see ``sdf``). So x repeats p's gap, and min and max over the
+      crop are those over the grid.
+    * The mean weights each crop site by the number of grid sites that clip
+      to it: the outer product of per-axis multiplicities, each 1, plus
+      ``start`` at the crop's first index and ``n - stop`` at its last.
+      Every gap is an integer, so the weighted sum is exact, and dividing it
+      by the grid size gives the bits of ``diff.mean()`` over the grid.
+    """
     out = np.empty((3, hi - lo))
     for k in range(hi - lo):
         mask = _nth_mask(spec, lo + k)
-        # in place: a third grid-sized array per mask costs about 0.5 ms at
-        # 256^2 in page faults, as the allocator hands its pages back
+        crop = tuple(slice(max(0, c.start - 2), min(n, c.stop + 2))
+                     for c, n in zip(_box(mask), mask.shape))
+        mask = mask[crop]
         diff = signed_distance(bayes_mask_one_step(mask, theta1, theta2))
         diff -= signed_distance(mask)
-        out[:, k] = diff.mean(), diff.min(), diff.max()
+        total = diff
+        for c, n in zip(crop, spec.shape):
+            weight = np.ones(c.stop - c.start)
+            weight[0] += c.start
+            weight[-1] += n - c.stop
+            # sums out the leading axis; numpy's own loop, not BLAS
+            total = np.einsum("i,i...->...", weight, total)
+        out[:, k] = float(total) / math.prod(spec.shape), diff.min(), diff.max()
     return out
 
 

@@ -15,9 +15,15 @@ sparse flip pass:
 Randomness is reproducible: a parameter set fixes the PCG64 stream and the
 draw order is part of the contract. Per step, the expansion coin is drawn
 first, then one coin per boundary site in row-major order; flip coins come
-last, one per stable site in row-major order. Monte Carlo helpers derive one
-child seed per sample from the base seed, so sample i is the same no matter
-how many samples are drawn around it, or in which worker process.
+last, one per stable site in row-major order. Monte Carlo sample i draws
+from the i-th child of ``SeedSequence(seed)``, so it is the same no matter
+how many samples are drawn around it, or in which worker process. Building
+each child's generator with ``default_rng`` cost more than a one-step walk,
+so the Monte Carlo builds the children's PCG64 states itself, with the same
+bits: the part of SeedSequence's hash that depends only on the seed is
+computed once per call, the part that depends on the child's index runs for
+255 samples at once in numpy, and one generator is set to each state in
+turn.
 
 A step can change only its own boundary layer, so the walk keeps both layers
 and after each step recomputes membership only at the flipped sites and
@@ -225,10 +231,77 @@ def generate(mask, params: MarkovNoiseParams) -> np.ndarray:
     return _run_process(m, params, np.random.default_rng(params.seed))
 
 
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(entropy) -> list[int]:
+    """``entropy`` as SeedSequence reads it: 32-bit words, least significant
+    first, an integer's words followed by those of the next."""
+    if isinstance(entropy, (int, np.integer)):
+        n = int(entropy)
+        return [n >> (32 * k) & _M32 for k in range(max(1, (n.bit_length() + 31) // 32))]
+    return [w for e in entropy for w in _words(e)]
+
+
+def _child_rngs(entropy, lo: int, hi: int):
+    """One generator, set in turn to the state of
+    ``default_rng(SeedSequence(entropy, spawn_key=(i,)))`` for i in lo..hi-1
+    (hi <= 2**32, so that i is one word), and yielded after each.
+
+    SeedSequence hashes the run entropy, padded to 4 words, into a 4-word
+    pool, mixes the pool's words together, then mixes in any entropy words
+    beyond the fourth and last the spawn-key word. Everything before that
+    word is the same for every child, so it is computed once; the last mix
+    and ``generate_state(4, uint64)`` run for all i at once in uint64
+    arithmetic masked to 32 bits. PCG64 takes the 4 words as initstate
+    ``s0<<64|s1`` and initseq ``s2<<64|s3`` and runs PCG's srandom, done here
+    on Python ints.
+    """
+    def hasher(hash_const, mult):
+        def hashmix(value):  # a new value: never in place, arrays included
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = hash_const * mult & _M32
+            value = value * hash_const & _M32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        result = (0xca01f9dd * x - 0x4973f715 * y) & _M32
+        return result ^ result >> 16
+
+    hashmix = hasher(0x43b0d7e5, 0x931e8875)
+    words = _words(entropy)
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    # from here the same operations run on a uint64 array of spawn-key words
+    key = np.arange(lo, hi, dtype=np.uint64)
+    pool = [mix(p, hashmix(key)) for p in pool]
+    scramble = hasher(0x8b51f9dd, 0x58f38ded)
+    halves = [scramble(pool[k % 4]) for k in range(8)]  # generate_state's 8 words
+    s0, s1, s2, s3 = (halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4))  # little-endian
+    rng = np.random.Generator(np.random.PCG64(0))
+    for initstate_hi, initstate_lo, initseq_hi, initseq_lo in zip(
+            s0.tolist(), s1.tolist(), s2.tolist(), s3.tolist()):
+        inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _M128
+        state = ((inc + (initstate_hi << 64 | initstate_lo)) * _PCG64_MULT + inc) & _M128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 # the fewest samples that repay a worker process: on a 64^2 disk a one-step
-# sample takes 35-55 us and a two-worker fan-out adds about 20 ms; two
-# workers broke even between 1,500 and 3,000 samples, within the spread of
-# these timings, and win at 16,000
+# sample takes 16-26 us and a two-worker fan-out adds about 15-20 ms; two
+# workers broke even between 2,000 and 2,500 samples (medians of 7 calls:
+# 52 ms in one process and 54 ms in two at 2,000; 69 and 60 ms at 2,500),
+# and win at 16,000 (0.40 against 0.29 s)
 _MC_GRAIN = 1000
 
 
@@ -239,9 +312,8 @@ def _mc_votes(mask: np.ndarray, params: MarkovNoiseParams, state, entropy,
     counts = np.zeros(mask.shape, dtype=np.int64)
     for first in range(lo, hi, 255):  # a uint8 tally holds 255 votes
         votes = np.zeros(mask.shape, dtype=np.uint8)
-        for i in range(first, min(first + 255, hi)):
-            child = np.random.SeedSequence(entropy, spawn_key=(i,))  # = spawn(n)[i]
-            votes += _run_process(mask, params, np.random.default_rng(child), state).view(np.uint8)
+        for rng in _child_rngs(entropy, first, min(first + 255, hi)):
+            votes += _run_process(mask, params, rng, state).view(np.uint8)
         counts += votes
     return counts
 
@@ -251,16 +323,18 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
     """Per-site foreground frequency over independent noise draws.
 
     Sample i uses the i-th child seed of ``params.seed``, so results do not
-    depend on n_samples beyond truncation. ``threads`` asks for worker
-    processes, each given a consecutive range of samples; at most one per
-    CPU this process may use runs (the CPU count, capped by its affinity
-    set), and calls too small to repay a fork run in this process. Integer
-    vote counts make the sum exact, so the field is the same for every
-    ``threads``.
+    depend on n_samples beyond truncation; at most 2**32 samples. ``threads``
+    asks for worker processes, each given a consecutive range of samples; at
+    most one per CPU this process may use runs (the CPU count, capped by its
+    affinity set), and calls too small to repay a fork run in this process.
+    Integer vote counts make the sum exact, so the field is the same for
+    every ``threads``.
     """
     m = as_mask(mask)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if n_samples > 2**32:  # sample 2**32 would need a second spawn-key word
+        raise ValueError(f"n_samples must be <= 2**32, got {n_samples}")
     entropy = np.random.SeedSequence(params.seed).entropy
     state = _walk_state(m)  # every sample starts from the same bands
     if params.smooth_sigma > 0:

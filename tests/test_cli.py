@@ -519,6 +519,17 @@ def test_verify_lemma1_reports_an_honest_failure(capsys):
     assert out.startswith("FAIL")
 
 
+@pytest.mark.parametrize("fixture", [["--radius", "0"], ["--radius", "-3"],
+                                     ["--size", "12x12", "--radius", "100"]])
+def test_verify_lemma1_refuses_a_fixture_without_boundary(capsys, fixture):
+    # an empty or all-foreground disk has nothing to move: no vacuous PASS
+    rc, out, err = run(capsys, "verify", "lemma1", "--theta1", "0.7", "--theta2", "0.9",
+                       "--samples", "300", *fixture)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_theorem1_cli(capsys):
     rc, out, _ = run(capsys, "verify", "theorem1", "--eps0", "0.5", "--eps1", "2",
                      "--eps", "1", "--alpha", "0.5", "--image-size", "1024",

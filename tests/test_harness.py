@@ -13,12 +13,14 @@ from scipy.stats import beta
 
 from segnoise import (
     CorrectionParams,
+    DegenerateMaskError,
     MarkovNoiseParams,
     SynthSpec,
     TrainConfig,
     TrainingDivergedError,
     TrialReport,
     ValidationBoundInputs,
+    bayes_mask_one_step,
     boundaries,
     centered_disk,
     dice,
@@ -185,6 +187,17 @@ def test_one_step_check_passes_each_regime(theta1, theta2, regime):
     assert rep.measurements["decided_fraction"] > 0.9
 
 
+def test_one_step_check_refuses_a_mask_without_boundary():
+    # an empty or all-foreground fixture has no site that can move, so every
+    # site would be "decided" and the check would pass on nothing
+    for radius in (0, -3):
+        with pytest.raises(ValueError, match="radius"):
+            centered_disk((12, 12), radius)
+    for mask in (np.zeros((12, 12), bool), centered_disk((12, 12), 100)):
+        with pytest.raises(DegenerateMaskError):
+            verify_bayes_mask(mask, 0.7, 0.9, 0.0, n_samples=300)
+
+
 def test_one_step_check_decides_more_sites_with_more_samples():
     mask = centered_disk((24, 24), radius=5)
     small = verify_bayes_mask(mask, 0.7, 0.9, 0.0, n_samples=2000, seed=1)
@@ -252,6 +265,35 @@ def test_bound_report_does_not_depend_on_the_cpu_count(monkeypatch):
         assert _fanout.worker_count(cpus, 111, harness._POOL_GRAIN) == cpus
         rows[cpus] = rep.rows()
     assert rows[1] == rows[2]
+
+
+def _full_grid_gaps(mask, theta1, theta2):
+    diff = signed_distance(bayes_mask_one_step(mask, theta1, theta2)) - signed_distance(mask)
+    return diff.mean(), diff.min(), diff.max()
+
+
+@pytest.mark.parametrize("theta1,theta2", [(0.7, 0.9), (0.2, 0.8), (0.5, 0.5)])
+def test_pool_gaps_are_the_full_grid_gaps(monkeypatch, theta1, theta2):
+    # the pool works on each shape's box; its mean, min and max must be the
+    # bits of the whole grid's, also where the box is clipped by the grid
+    from segnoise import harness
+
+    for spec in (SynthSpec(count=3, shape=(256, 256), seed=8),
+                 SynthSpec(count=12, shape=(64, 64), family="ellipse-unions", seed=9),
+                 SynthSpec(count=3, shape=(24, 24, 24), seed=10)):
+        got = harness._pool_gaps(spec, theta1, theta2, 0, spec.count)
+        want = np.array([_full_grid_gaps(m, theta1, theta2) for m in synth_masks(spec)]).T
+        assert got.tobytes() == want.tobytes()
+    # shapes cut by the grid's edge, and a 2x2 block in a corner, whose
+    # erosion keeps only the corner site
+    shape = (40, 30)
+    corner = np.zeros(shape, bool)
+    corner[:2, -2:] = True
+    for mask in (centered_disk(shape, 6) | np.roll(centered_disk(shape, 7), (19, 14), (0, 1)),
+                 corner):
+        monkeypatch.setattr(harness, "_nth_mask", lambda spec, i: mask)
+        got = harness._pool_gaps(SynthSpec(count=1, shape=shape), theta1, theta2, 0, 1)
+        assert got.tobytes() == np.array([_full_grid_gaps(mask, theta1, theta2)]).T.tobytes()
 
 
 def test_incomplete_beta_inverse_is_the_beta_quantile():

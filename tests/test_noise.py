@@ -316,6 +316,31 @@ def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpu
     assert np.array_equal(expected_label_mc(mask, p, n, threads=2), votes / n)
 
 
+# 0xdc2e... is one SeedSequence().entropy, drawn once; 2**160 + 12345 takes 6
+# words, and a list of integers gives the words of each in turn
+@pytest.mark.parametrize("entropy", [0, 5, 0xdc2ec76571bb702f7d3dc70b632b0366,
+                                     2**160 + 12345, [3, 2**40 + 7]])
+@pytest.mark.parametrize("lo,hi", [(0, 3), (254, 258), (2**32 - 3, 2**32)])
+def test_child_generators_are_the_spawned_children(entropy, lo, hi):
+    from segnoise import noise
+
+    for i, rng in zip(range(lo, hi), noise._child_rngs(entropy, lo, hi), strict=True):
+        child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+        assert rng.bit_generator.state == child.bit_generator.state
+        assert np.array_equal(rng.random(300), child.random(300))
+
+
+def test_mc_refuses_sample_indices_beyond_one_spawn_key_word(monkeypatch):
+    from segnoise import noise
+
+    def no_draws(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(noise, "map_ranges", no_draws)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        expected_label_mc(centered_disk((9, 9), radius=2), params(), 2**32 + 1)
+
+
 # sha256 of the float64 field, recorded from the walk that scanned the padded
 # layer at its first step and summed every sample's votes into int64. The
 # one-step counts straddle 255 samples per process, with one process and with
