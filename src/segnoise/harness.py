@@ -22,9 +22,9 @@ from .correct import (CorrectionParams, ValidationBoundInputs,
 from .formats import save_csv
 from .grid import as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig
-from .noise import (MarkovNoiseParams, _one_step_regime, bayes_mask_one_step,
+from .noise import (MarkovNoiseParams, _child_rngs, _one_step_regime, bayes_mask_one_step,
                     expected_label_mc, generate)
-from .sdf import DegenerateMaskError, _box, signed_distance
+from .sdf import DegenerateMaskError, _box, _signed_distances, signed_distance
 
 __all__ = [
     "SynthSpec",
@@ -132,16 +132,17 @@ def _draw_mask(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     return mask
 
 
-def _nth_mask(spec: SynthSpec, i: int) -> np.ndarray:
-    """Mask i of synth_masks(spec), drawn from the i-th child seed alone."""
-    child = np.random.SeedSequence(spec.seed, spawn_key=(i,))  # = spawn(count)[i]
-    return _draw_mask(np.random.default_rng(child), spec)
-
-
 def synth_masks(spec: SynthSpec) -> Iterator[np.ndarray]:
     """The masks of synth_dataset(spec), without the images, each drawn only
     when the caller's iteration reaches it, so a large pool is never held."""
-    return (_nth_mask(spec, i) for i in range(spec.count))
+    return _pool_masks(spec, 0, spec.count)
+
+
+def _pool_masks(spec: SynthSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Masks lo..hi-1 of synth_masks(spec): mask i is drawn from the i-th
+    child seed alone, as ``SeedSequence(spec.seed).spawn(count)[i]`` gives it."""
+    entropy = np.random.SeedSequence(spec.seed).entropy
+    return (_draw_mask(rng, spec) for rng in _child_rngs(entropy, lo, hi))
 
 
 def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -297,10 +298,11 @@ def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> 
 
 
 # the fewest pool masks that repay a worker process; two workers start from
-# twice this many. A mask takes 0.4-0.6 ms at 32^2 and 0.9-1.3 ms at 256^2;
-# two workers broke even between 100 and 150 masks at 32^2 (medians of 7
-# calls: 59 ms in one process and 61 ms in two at 100, 94 and 80 ms at 150)
-# and between 40 and 60 at 256^2 (51 and 54 ms at 40, 81 and 68 ms at 60)
+# twice this many. A mask takes about 0.45 ms at 32^2 and 0.8-1.4 ms at
+# 256^2; two workers broke even between 150 and 200 masks at 32^2 (medians
+# of 7 calls: 68 ms in one process and 78 ms in two at 150, 89 and 85 ms at
+# 200) and between 40 and 60 at 256^2 (50 and 60 ms at 40, 85 and 68 ms at
+# 60)
 _POOL_GRAIN = 50
 
 
@@ -309,9 +311,12 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
     """Rows mean, min and max of the SDF gap between the one-step
     most-likely mask and the clean mask, one column per pool mask lo..hi-1.
 
-    Each mask is cropped to its foreground box grown by 2 sites and clipped
-    to the grid, and everything is computed on the crop, with the same bits
-    as over the whole grid:
+    The masks are drawn from one generator set in turn to each mask's child
+    seed (``noise._child_rngs``). Each mask is cropped to its foreground box
+    grown by 2 sites and clipped to the grid, the two fields come from one
+    distance transform of the stacked pair (``sdf._signed_distances``), and
+    everything is computed on the crop, with the same bits as over the whole
+    grid:
 
     * The most-likely mask is the mask, its erosion or its dilation, so its
       foreground lies within the box grown by 1, and the two masks differ
@@ -332,13 +337,12 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
       by the grid size gives the bits of ``diff.mean()`` over the grid.
     """
     out = np.empty((3, hi - lo))
-    for k in range(hi - lo):
-        mask = _nth_mask(spec, lo + k)
+    for k, mask in enumerate(_pool_masks(spec, lo, hi)):
         crop = tuple(slice(max(0, c.start - 2), min(n, c.stop + 2))
                      for c, n in zip(_box(mask), mask.shape))
         mask = mask[crop]
-        diff = signed_distance(bayes_mask_one_step(mask, theta1, theta2))
-        diff -= signed_distance(mask)
+        clean, likely = _signed_distances((mask, bayes_mask_one_step(mask, theta1, theta2)))
+        diff = likely - clean
         total = diff
         for c, n in zip(crop, spec.shape):
             weight = np.ones(c.stop - c.start)
@@ -371,8 +375,11 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
     pool permutation. Pool mask i is drawn from the i-th child seed, as in
     ``synth_masks``; the pool is built in up to one worker process per CPU
     this process may use, and the report is the same for every CPU count.
+    In the identity regime the most-likely mask is the mask itself, so every
+    gap is exactly 0 and no pool is built.
     """
     t0 = time.perf_counter()
+    regime = _one_step_regime(theta1, theta2)  # checks both thetas first
     if inputs.alpha > 1.0:
         raise ValueError("alpha must be <= 1 for an empirical failure-rate test")
     if n_trials < 1:
@@ -398,12 +405,16 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
     pool_ss, trial_ss = np.random.SeedSequence(seed).spawn(2)
     spec = SynthSpec(count=pool_size, shape=tuple(grid_shape), family=family,
                      seed=int(pool_ss.generate_state(1)[0]))
-    # the workers call signed_distance: import its scipy here, before the
-    # fork, or each worker pays about 0.35 s to import it anew
-    import scipy.ndimage  # noqa: F401
-    parts = map_ranges(_pool_gaps, pool_size, os.cpu_count() or 1, _POOL_GRAIN,
-                       spec, theta1, theta2)
-    gaps, lo, hi = np.concatenate(parts, axis=1)
+    if regime == "identity":
+        # the most-likely mask is the mask itself: every gap is exactly 0
+        gaps = lo = hi = np.zeros(pool_size)
+    else:
+        # the workers compute signed distances: import their scipy here,
+        # before the fork, or each worker pays about 0.35 s to import it anew
+        import scipy.ndimage  # noqa: F401
+        parts = map_ranges(_pool_gaps, pool_size, os.cpu_count() or 1, _POOL_GRAIN,
+                           spec, theta1, theta2)
+        gaps, lo, hi = np.concatenate(parts, axis=1)
 
     failures = 0
     error_sum = 0.0

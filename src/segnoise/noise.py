@@ -33,8 +33,12 @@ its boundary band rather than to the grid. Monte Carlo samples share one
 starting state: the first step's bands are built once per call, and come
 with each band's sites already listed in row-major order, so the first step
 scans nothing. Votes are tallied in uint8 and added to the int64 counts
-every 255 samples, before a tally can wrap. None of this changes the draw
-order above.
+every 255 samples, before a tally can wrap. A single step with no flips and
+no smoothing, the setting of the one-step lemma, can change only the sites
+of one layer that win their coin, so its Monte Carlo walks no grid at all:
+it draws each sample's coins into one row of a block, and counts each
+layer site's wins on the two layers' site lists. None of this changes the
+draw order above.
 """
 
 from __future__ import annotations
@@ -297,11 +301,15 @@ def _child_rngs(entropy, lo: int, hi: int):
         yield rng
 
 
-# the fewest samples that repay a worker process: on a 64^2 disk a one-step
-# sample takes 16-26 us and a two-worker fan-out adds about 15-20 ms; two
-# workers broke even between 2,000 and 2,500 samples (medians of 7 calls:
-# 52 ms in one process and 54 ms in two at 2,000; 69 and 60 ms at 2,500),
-# and win at 16,000 (0.40 against 0.29 s)
+# the fewest samples that repay a worker process; a two-worker fan-out adds
+# about 15-25 ms. On a 64^2 disk (medians of 7 calls, one process against
+# two), the one-step layer tally takes 5-10 us a sample and broke even near
+# 6,000 samples (39 and 49 ms at 4,000; 60 and 59 ms at 6,000; 81 and 68 ms
+# at 8,000), while a one-step walk with theta3 = 0.05 takes 80-90 us and
+# broke even between 400 and 1,000 (32 and 43 ms at 400; 92 and 76 ms at
+# 1,000). A count of samples cannot fit both: this one keeps the walks
+# forking early, and a tally of 2,000-6,000 samples pays up to ~15 ms for
+# its second worker
 _MC_GRAIN = 1000
 
 
@@ -309,6 +317,8 @@ def _mc_votes(mask: np.ndarray, params: MarkovNoiseParams, state, entropy,
               lo: int, hi: int) -> np.ndarray:
     """Foreground votes of samples lo..hi-1; sample i draws from the i-th
     child of ``SeedSequence(entropy)``."""
+    if params.steps == 1 and params.theta3 == 0 and params.smooth_sigma == 0:
+        return _one_step_votes(params, state, entropy, lo, hi)
     counts = np.zeros(mask.shape, dtype=np.int64)
     for first in range(lo, hi, 255):  # a uint8 tally holds 255 votes
         votes = np.zeros(mask.shape, dtype=np.uint8)
@@ -316,6 +326,37 @@ def _mc_votes(mask: np.ndarray, params: MarkovNoiseParams, state, entropy,
             votes += _run_process(mask, params, rng, state).view(np.uint8)
         counts += votes
     return counts
+
+
+def _one_step_votes(params: MarkovNoiseParams, state, entropy, lo: int, hi: int) -> np.ndarray:
+    """``_mc_votes`` of one step with no flips and no smoothing, tallied on
+    the two boundary layers' site lists.
+
+    Such a sample changes only the sites of one layer that win their coin,
+    so it needs only its coins: the direction coin, then one per site of the
+    chosen layer. A row of ``1 + max layer size`` doubles holds them, in the
+    order the walk draws them (scalar and vector ``random`` both take one
+    double at a time); the doubles past the chosen layer's size are never
+    read. Votes are then the mask's own, once per sample, plus the expand
+    hits on the background layer, minus the shrink hits on the foreground
+    layer.
+    """
+    grid, _, start = state
+    hits = [np.zeros(s.size, dtype=np.int64) for s in start]  # indexed by the expand coin
+    rows = np.empty((min(255, hi - lo), 1 + max(s.size for s in start)))
+    for first in range(lo, hi, 255):
+        block = rows[:min(255, hi - first)]
+        for row, rng in zip(block, _child_rngs(entropy, first, first + len(block))):
+            rng.random(out=row)
+        expand = block[:, 0] < params.theta1
+        won = block[:, 1:] < params.theta2
+        for side, chosen in ((0, ~expand), (1, expand)):
+            hits[side] += won[chosen, :start[side].size].sum(axis=0)
+    counts = (hi - lo) * (grid == 1)  # int64, on the walk's padded grid
+    flat = counts.reshape(-1)
+    flat[start[1]] += hits[1]
+    flat[start[0]] -= hits[0]
+    return counts[(slice(1, -1),) * grid.ndim]
 
 
 def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
@@ -347,7 +388,11 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
 
 def _one_step_regime(theta1: float, theta2: float) -> str:
     """``"expand"``, ``"shrink"`` or ``"identity"``: the one-step regime
-    under the conditions that ``bayes_mask_one_step`` states."""
+    under the conditions that ``bayes_mask_one_step`` states. Raises
+    ValueError for a theta outside [0, 1]."""
+    for name, v in (("theta1", theta1), ("theta2", theta2)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {v}")
     if theta1 * theta2 >= 0.5:
         return "expand"
     if 1.0 + theta1 * theta2 - theta2 < 0.5:
@@ -365,11 +410,8 @@ def bayes_mask_one_step(mask, theta1: float, theta2: float) -> np.ndarray:
     (1 + theta1*theta2 - theta2 < 1/2), and the input mask otherwise. The
     two conditions are mutually exclusive.
     """
-    for name, v in (("theta1", theta1), ("theta2", theta2)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
-    m = as_mask(mask)
     regime = _one_step_regime(theta1, theta2)
+    m = as_mask(mask)
     if regime == "expand":
         return dilate_one(m)
     if regime == "shrink":

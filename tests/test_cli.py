@@ -547,6 +547,17 @@ def test_verify_theorem1_rejects_bad_inputs(capsys):
     assert "error:" in err
 
 
+def test_verify_theorem1_rejects_a_theta_out_of_range_in_the_identity_regime(capsys):
+    # theta 0.5/-0.1 reads as the identity regime, which builds no pool; the
+    # range check must come first
+    rc, out, err = run(capsys, "verify", "theorem1", "--theta1", "0.5", "--theta2", "-0.1",
+                       "--eps0", "0.5", "--eps1", "2", "--eps", "1", "--alpha", "0.5",
+                       "--image-size", "1024", "--trials", "5", "--holdout", "10")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: theta2 must be in [0, 1]")
+
+
 # ---------------------------------------------------------------- sweep
 
 

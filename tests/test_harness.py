@@ -291,7 +291,7 @@ def test_pool_gaps_are_the_full_grid_gaps(monkeypatch, theta1, theta2):
     corner[:2, -2:] = True
     for mask in (centered_disk(shape, 6) | np.roll(centered_disk(shape, 7), (19, 14), (0, 1)),
                  corner):
-        monkeypatch.setattr(harness, "_nth_mask", lambda spec, i: mask)
+        monkeypatch.setattr(harness, "_draw_mask", lambda rng, spec: mask)
         got = harness._pool_gaps(SynthSpec(count=1, shape=shape), theta1, theta2, 0, 1)
         assert got.tobytes() == np.array([_full_grid_gaps(mask, theta1, theta2)]).T.tobytes()
 

@@ -286,12 +286,22 @@ def test_generate_equals_the_reference_walk(m, steps, t1, t2, t3, sigma, seed):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mc_is_the_mean_of_generate_over_the_child_seeds(threads):
     # expected_label_mc hands every sample one shared starting state; each
-    # sample must still be the walk that generate takes from its child seed
+    # sample must still be the walk that generate takes from its child seed.
+    # One step with theta3 = 0 and no smoothing is tallied on the layers'
+    # site lists instead: a 3-D mask, a mask cut by the grid's edge, certain
+    # coins, and a uniform mask, whose layers are both empty
     rng = np.random.default_rng(5)
+    cut = np.zeros((8, 10), bool)
+    cut[:3, 6:] = cut[5:, :2] = True
     cases = [(centered_disk((17, 17), radius=4), params(theta1=0.7, theta2=0.6, theta3=0.05, seed=5)),
              (random_mask(rng, (9, 11)), params(steps=4, theta1=0.5, theta2=0.7, seed=6)),
              (random_mask(rng, (5, 4, 6)),
-              params(steps=3, theta1=0.4, theta2=0.5, theta3=0.02, smooth_sigma=0.8, seed=7))]
+              params(steps=3, theta1=0.4, theta2=0.5, theta3=0.02, smooth_sigma=0.8, seed=7)),
+             (random_mask(rng, (5, 4, 6)), params(theta1=0.6, theta2=0.4, seed=8)),
+             (cut, params(theta1=0.3, theta2=0.7, seed=9)),
+             (cut, params(theta1=0.0, theta2=1.0, seed=10)),
+             (cut, params(theta1=1.0, theta2=1.0, seed=11)),
+             (np.ones((6, 7), bool), params(theta1=0.5, theta2=0.9, seed=12))]
     n = 30
     for mask, p in cases:
         children = np.random.SeedSequence(p.seed).spawn(n)
@@ -300,15 +310,17 @@ def test_mc_is_the_mean_of_generate_over_the_child_seeds(threads):
         assert np.array_equal(expected_label_mc(mask, p, n, threads=threads), votes / n)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpus):
+@pytest.mark.parametrize("cpus,theta3", [(1, 0.05), (2, 0.05), (1, 0.0), (2, 0.0)],
+                         ids=["1", "2", "1-tally", "2-tally"])
+def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpus, theta3):
     # enough samples for two worker processes, on a mask small enough to keep
-    # the 2 x 2,000 walks cheap
+    # the 2 x 2,000 walks cheap; the second worker's range starts off a
+    # 255-sample block, and theta3 = 0 takes the one-step layer tally
     from segnoise import _fanout, noise
 
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: cpus)
     mask = centered_disk((7, 7), radius=2)
-    p = params(theta1=0.6, theta2=0.7, theta3=0.05, seed=21)
+    p = params(theta1=0.6, theta2=0.7, theta3=theta3, seed=21)
     n = 2 * noise._MC_GRAIN
     assert _fanout.worker_count(2, n, noise._MC_GRAIN) == cpus
     children = np.random.SeedSequence(p.seed).spawn(n)
