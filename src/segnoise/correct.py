@@ -323,6 +323,11 @@ class ValidationBoundInputs:
     image_size: int
 
     def __post_init__(self):
+        # NaN fails no comparison, and an infinity overflows the bound's ceil
+        for name in ("eps0", "eps1", "eps", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.eps0 < 0:
             raise ValueError("eps0 must be >= 0")
         if self.eps1 < self.eps0:

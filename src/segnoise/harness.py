@@ -298,11 +298,17 @@ def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> 
 
 
 # the fewest pool masks that repay a worker process; two workers start from
-# twice this many. A mask takes about 0.45 ms at 32^2 and 0.8-1.4 ms at
-# 256^2; two workers broke even between 150 and 200 masks at 32^2 (medians
-# of 7 calls: 68 ms in one process and 78 ms in two at 150, 89 and 85 ms at
-# 200) and between 40 and 60 at 256^2 (50 and 60 ms at 40, 85 and 68 ms at
-# 60)
+# twice this many. Each worker computes its own distinct crops, so the break
+# even depends on how often a family repeats a crop. Medians of 7 calls, one
+# process against two, in turn, from two sets: disks, which repeat, broke
+# even between 400 and 800 masks at 32^2 (18-19 and 32-34 ms at 100, 39-58
+# and 55-63 ms at 400, 101-106 and 86-98 ms at 800) and at 256^2 (61-72 and
+# 68-71 ms at 100, 84-118 and 114-118 ms at 400, 172-180 and 155 ms at
+# 800); ellipse unions, which mostly do not, between 100 and 150 at 32^2
+# (36-57 and 51-66 ms at 100, 83-94 and 79-90 ms at 150) and near 20 at
+# 256^2 (46-49 and 48-50 ms at 20, 99-100 and 76 ms at 40). A count of
+# masks cannot fit both: this one keeps ellipse unions forking early, and a
+# disk pool of 100-800 masks pays up to ~30 ms for its second worker
 _POOL_GRAIN = 50
 
 
@@ -335,22 +341,40 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
       ``start`` at the crop's first index and ``n - stop`` at its last.
       Every gap is an integer, so the weighted sum is exact, and dividing it
       by the grid size gives the bits of ``diff.mean()`` over the grid.
+
+    Both fields are computed on the crop alone, so the crop's gaps are a
+    function of its shape and bits, wherever it sits on the grid; a disk of
+    integer radius at an integer centre crops to the same array at every
+    centre. Its position enters only through the weights, and the weighted
+    sum splits by axis: along each axis, the sum over the whole axis plus
+    ``start`` times the first index plus ``n - stop`` times the last. So
+    each distinct crop is computed once per call, and keeps only min, max
+    and the 3^ndim sums that take the whole axis, the first or the last
+    index along each axis; a mask's mean contracts those sums with the
+    per-axis vectors ``(1, start, n - stop)``. Every term is an integer
+    below 2^53, so each order of additions gives the same bits as the
+    weighted sum over the crop.
     """
     out = np.empty((3, hi - lo))
+    seen = {}  # (crop shape, packed crop bits) -> (edge sums, min gap, max gap)
     for k, mask in enumerate(_pool_masks(spec, lo, hi)):
         crop = tuple(slice(max(0, c.start - 2), min(n, c.stop + 2))
                      for c, n in zip(_box(mask), mask.shape))
         mask = mask[crop]
-        clean, likely = _signed_distances((mask, bayes_mask_one_step(mask, theta1, theta2)))
-        diff = likely - clean
-        total = diff
+        key = (mask.shape, np.packbits(mask).tobytes())
+        if key not in seen:
+            clean, likely = _signed_distances((mask, bayes_mask_one_step(mask, theta1, theta2)))
+            diff = likely - clean
+            sums = diff
+            for _ in range(diff.ndim):
+                # the last axis becomes a leading axis of 3: its sum, first, last
+                sums = np.stack((sums.sum(axis=-1), sums[..., 0], sums[..., -1]))
+            seen[key] = sums, diff.min(), diff.max()
+        total, low, high = seen[key]
         for c, n in zip(crop, spec.shape):
-            weight = np.ones(c.stop - c.start)
-            weight[0] += c.start
-            weight[-1] += n - c.stop
             # sums out the leading axis; numpy's own loop, not BLAS
-            total = np.einsum("i,i...->...", weight, total)
-        out[:, k] = float(total) / math.prod(spec.shape), diff.min(), diff.max()
+            total = np.einsum("i,i...->...", np.array((1.0, c.start, n - c.stop)), total)
+        out[:, k] = float(total) / math.prod(spec.shape), low, high
     return out
 
 

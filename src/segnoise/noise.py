@@ -301,23 +301,30 @@ def _child_rngs(entropy, lo: int, hi: int):
         yield rng
 
 
-# the fewest samples that repay a worker process; a two-worker fan-out adds
-# about 15-25 ms. On a 64^2 disk (medians of 7 calls, one process against
-# two), the one-step layer tally takes 5-10 us a sample and broke even near
-# 6,000 samples (39 and 49 ms at 4,000; 60 and 59 ms at 6,000; 81 and 68 ms
-# at 8,000), while a one-step walk with theta3 = 0.05 takes 80-90 us and
-# broke even between 400 and 1,000 (32 and 43 ms at 400; 92 and 76 ms at
-# 1,000). A count of samples cannot fit both: this one keeps the walks
-# forking early, and a tally of 2,000-6,000 samples pays up to ~15 ms for
-# its second worker
+# the fewest samples that repay a worker process, for each of the two
+# Monte Carlo paths; a two-worker fan-out adds about 15-25 ms. On a 64^2
+# disk of radius 16 (medians of 7 calls, one process against two, in turn):
+# a one-step walk with theta3 = 0.05 takes 70-90 us a sample and broke even
+# between 400 and 1,000 samples (34 and 42 ms at 400; 73 and 66 ms at 1,000),
+# while the one-step layer tally takes 9-10 us and broke even near 5,000
+# (18 and 28 ms at 2,000; 37 and 41 ms at 4,000; 47 and 45 ms at 5,000; 55
+# and 47 ms at 6,000; 143 and 96 ms at 16,000). So a walk forks from 2,000
+# samples and a tally from 6,000
 _MC_GRAIN = 1000
+_TALLY_GRAIN = 3000
+
+
+def _tallies(params: MarkovNoiseParams) -> bool:
+    """Whether the Monte Carlo of ``params`` is one step with no flips and no
+    smoothing, which ``_one_step_votes`` tallies without walking."""
+    return params.steps == 1 and params.theta3 == 0 and params.smooth_sigma == 0
 
 
 def _mc_votes(mask: np.ndarray, params: MarkovNoiseParams, state, entropy,
               lo: int, hi: int) -> np.ndarray:
     """Foreground votes of samples lo..hi-1; sample i draws from the i-th
     child of ``SeedSequence(entropy)``."""
-    if params.steps == 1 and params.theta3 == 0 and params.smooth_sigma == 0:
+    if _tallies(params):
         return _one_step_votes(params, state, entropy, lo, hi)
     counts = np.zeros(mask.shape, dtype=np.int64)
     for first in range(lo, hi, 255):  # a uint8 tally holds 255 votes
@@ -382,7 +389,8 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
         # each sample smooths with scipy: import it before the fork, or each
         # worker pays about 0.35 s to import it anew
         import scipy.ndimage  # noqa: F401
-    parts = map_ranges(_mc_votes, n_samples, threads, _MC_GRAIN, m, params, state, entropy)
+    grain = _TALLY_GRAIN if _tallies(params) else _MC_GRAIN
+    parts = map_ranges(_mc_votes, n_samples, threads, grain, m, params, state, entropy)
     return np.sum(parts, axis=0) / float(n_samples)  # integer sum: order-independent
 
 

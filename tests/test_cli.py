@@ -69,6 +69,21 @@ def test_bound_rejects_slack_below_the_floor(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["bound", "theorem1"])
+@pytest.mark.parametrize("name, value", [("eps0", "nan"), ("eps1", "nan"), ("eps1", "inf"),
+                                         ("eps", "nan"), ("eps", "inf"), ("alpha", "nan"),
+                                         ("alpha", "inf")])
+def test_a_non_finite_bound_input_exits_2_without_a_traceback(capsys, command, name, value):
+    # inf once overflowed the bound's ceil, NaN failed as an integer
+    # conversion, and eps = inf asked for no image at all
+    bound = {"eps0": "1", "eps1": "20", "eps": "2", "alpha": "0.05", name: value}
+    argv = ["bound"] if command == "bound" else ["verify", "theorem1", "--trials", "5"]
+    for flag, v in bound.items():
+        argv.append(f"--{flag}={v}")
+    rc, out, err = run(capsys, *argv, "--image-size", "65536")
+    assert (rc, out, err) == (2, "", f"error: {name} must be finite, got {value}\n")
+
+
 # ---------------------------------------------------------------- usage errors
 
 

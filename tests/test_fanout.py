@@ -62,7 +62,7 @@ def test_no_worker_is_started_for_a_process_pinned_to_one_cpu(cpus, monkeypatch)
 
     mask = centered_disk((9, 9), radius=3)
     p = MarkovNoiseParams(steps=1, theta1=0.6, theta2=0.7, seed=4)
-    n = 2 * noise._MC_GRAIN
+    n = 2 * noise._TALLY_GRAIN  # two workers, but for the pinning
     cpus(1)
     alone = expected_label_mc(mask, p, n, threads=1)
     cpus(2)

@@ -280,7 +280,8 @@ def test_pool_gaps_are_the_full_grid_gaps(monkeypatch, theta1, theta2):
 
     for spec in (SynthSpec(count=3, shape=(256, 256), seed=8),
                  SynthSpec(count=12, shape=(64, 64), family="ellipse-unions", seed=9),
-                 SynthSpec(count=3, shape=(24, 24, 24), seed=10)):
+                 SynthSpec(count=3, shape=(24, 24, 24), seed=10),
+                 SynthSpec(count=40, shape=(64, 64), seed=11)):  # repeated crops
         got = harness._pool_gaps(spec, theta1, theta2, 0, spec.count)
         want = np.array([_full_grid_gaps(m, theta1, theta2) for m in synth_masks(spec)]).T
         assert got.tobytes() == want.tobytes()
@@ -294,6 +295,31 @@ def test_pool_gaps_are_the_full_grid_gaps(monkeypatch, theta1, theta2):
         monkeypatch.setattr(harness, "_draw_mask", lambda rng, spec: mask)
         got = harness._pool_gaps(SynthSpec(count=1, shape=shape), theta1, theta2, 0, 1)
         assert got.tobytes() == np.array([_full_grid_gaps(mask, theta1, theta2)]).T.tobytes()
+
+
+def test_the_pool_computes_each_distinct_crop_once(monkeypatch):
+    # a disk crops to the same array wherever it sits inside the grid: these
+    # six masks crop to three arrays, the last touching the grid's last row,
+    # so that its crop is clipped
+    from segnoise import harness
+
+    shape = (40, 30)
+    small, large = centered_disk(shape, 4), centered_disk(shape, 6)
+    masks = [small, np.roll(small, (5, -3), (0, 1)), large, np.roll(small, (-9, 7), (0, 1)),
+             np.roll(large, (8, 2), (0, 1)), np.roll(small, (16, 0), (0, 1))]
+    draws = iter(masks)
+    monkeypatch.setattr(harness, "_draw_mask", lambda rng, spec: next(draws))
+    calls = []
+
+    def counted(pair):
+        calls.append(len(pair))
+        return signed_distances(pair)
+
+    signed_distances = harness._signed_distances
+    monkeypatch.setattr(harness, "_signed_distances", counted)
+    got = harness._pool_gaps(SynthSpec(count=6, shape=shape), 0.7, 0.9, 0, 6)
+    assert calls == [2, 2, 2]
+    assert got.tobytes() == np.array([_full_grid_gaps(m, 0.7, 0.9) for m in masks]).T.tobytes()
 
 
 def test_incomplete_beta_inverse_is_the_beta_quantile():

@@ -314,15 +314,17 @@ def test_mc_is_the_mean_of_generate_over_the_child_seeds(threads):
                          ids=["1", "2", "1-tally", "2-tally"])
 def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpus, theta3):
     # enough samples for two worker processes, on a mask small enough to keep
-    # the 2 x 2,000 walks cheap; the second worker's range starts off a
-    # 255-sample block, and theta3 = 0 takes the one-step layer tally
+    # the 2 x 2,000 walks and 2 x 6,000 reference draws cheap; the second
+    # worker's range starts off a 255-sample block, and theta3 = 0 takes the
+    # one-step layer tally with its own grain
     from segnoise import _fanout, noise
 
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: cpus)
     mask = centered_disk((7, 7), radius=2)
     p = params(theta1=0.6, theta2=0.7, theta3=theta3, seed=21)
-    n = 2 * noise._MC_GRAIN
-    assert _fanout.worker_count(2, n, noise._MC_GRAIN) == cpus
+    grain = noise._MC_GRAIN if theta3 else noise._TALLY_GRAIN
+    n = 2 * grain
+    assert _fanout.worker_count(2, n, grain) == cpus
     children = np.random.SeedSequence(p.seed).spawn(n)
     votes = sum(generate(mask, replace(p, seed=c)).astype(np.int64) for c in children)
     assert np.array_equal(expected_label_mc(mask, p, n, threads=2), votes / n)
@@ -385,6 +387,7 @@ def test_mc_fields_keep_their_bits(monkeypatch, name, n, threads):
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(noise, "_MC_GRAIN", 1)
+    monkeypatch.setattr(noise, "_TALLY_GRAIN", 1)
     (mask,) = synth_masks(SynthSpec(count=1, shape=(32, 32), family="ellipse-unions", seed=4))
     field = expected_label_mc(mask, MC_CONFIGS[name], n, threads=threads)
     assert hashlib.sha256(field.tobytes()).hexdigest() == MC_DIGESTS[name, n]
