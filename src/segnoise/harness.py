@@ -371,9 +371,8 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
                 sums = np.stack((sums.sum(axis=-1), sums[..., 0], sums[..., -1]))
             seen[key] = sums, diff.min(), diff.max()
         total, low, high = seen[key]
-        for c, n in zip(crop, spec.shape):
-            # sums out the leading axis; numpy's own loop, not BLAS
-            total = np.einsum("i,i...->...", np.array((1.0, c.start, n - c.stop)), total)
+        for c, n in zip(crop, spec.shape):  # sums out the leading axis
+            total = total[0] + c.start * total[1] + (n - c.stop) * total[2]
         out[:, k] = float(total) / math.prod(spec.shape), low, high
     return out
 
