@@ -17,12 +17,11 @@ from .correct import (BiasEstimate, CorrectionParams, EmptyBandError,
                       spatial_correction, write_report)
 from .formats import (FormatError, load_field, load_gtf, load_mask, load_pgm,
                       save_csv, save_field, save_gtf, save_mask, save_pgm)
-from .grid import (as_field, as_mask, boundaries, boundary_layer, dice, dilate_one,
-                   erode_one, threshold)
+from .grid import (as_field, as_mask, boundary_layer, dice, dilate_one, erode_one,
+                   threshold)
 from .harness import (PipelineResult, SynthSpec, TrialReport, centered_disk,
-                      interior_hole_flips, run_pipeline, sweep, synth_dataset,
-                      synth_masks, verify_bayes_mask, verify_validation_bound,
-                      write_trial_report)
+                      run_pipeline, sweep, synth_dataset, synth_masks,
+                      verify_bayes_mask, verify_validation_bound, write_trial_report)
 from .model import (ExternalSegmenter, LogisticSegmenter, Segmenter,
                     TrainConfig, TrainingDivergedError, loss_and_grad)
 from .noise import (PRESETS, MarkovNoiseParams, bayes_mask_one_step,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -228,7 +229,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = LogisticSegmenter.from_json(Path(args.model).read_text(encoding="utf-8"))
+    try:
+        model = LogisticSegmenter.from_json(Path(args.model).read_text(encoding="utf-8"))
+    except ValueError as e:  # a JSON or UTF-8 error names no file
+        raise ValueError(f"{args.model}: {e}") from None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = _grid_files(args.images_dir)
@@ -286,7 +290,11 @@ def _cmd_verify_lemma1(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
-    report = verify_validation_bound(_bound_inputs(args), args.trials,
+    inputs = _bound_inputs(args)
+    if math.isqrt(inputs.image_size) ** 2 != inputs.image_size:
+        raise ValueError(f"--image-size must be a perfect square, got {inputs.image_size}: "
+                         "the CLI verifies square 2-D grids")
+    report = verify_validation_bound(inputs, args.trials,
                                      theta1=args.theta1, theta2=args.theta2,
                                      holdout=args.holdout, family=args.family,
                                      seed=args.seed)

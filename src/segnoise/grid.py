@@ -19,7 +19,6 @@ __all__ = [
     "as_mask",
     "as_field",
     "boundary_layer",
-    "boundaries",
     "dilate_one",
     "erode_one",
     "threshold",
@@ -97,15 +96,6 @@ def boundary_layer(mask, expand: bool) -> np.ndarray:
     if expand:
         return dilate_one(m) & ~m
     return m & ~erode_one(m)
-
-
-def boundaries(mask) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(foreground boundary, background boundary)`` of a mask.
-
-    The two sets are disjoint; both are empty exactly when the mask is
-    uniform (all foreground or all background).
-    """
-    return boundary_layer(mask, False), boundary_layer(mask, True)
 
 
 def threshold(field, tau: float, mode: str = "ge") -> np.ndarray:

@@ -24,14 +24,13 @@ from .grid import as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig
 from .noise import (MarkovNoiseParams, _child_rngs, _one_step_regime, bayes_mask_one_step,
                     expected_label_mc, generate)
-from .sdf import DegenerateMaskError, _box, _signed_distances, signed_distance
+from .sdf import DegenerateMaskError, _box, signed_distance
 
 __all__ = [
     "SynthSpec",
     "synth_masks",
     "synth_dataset",
     "centered_disk",
-    "interior_hole_flips",
     "TrialReport",
     "write_trial_report",
     "verify_bayes_mask",
@@ -177,27 +176,6 @@ def centered_disk(shape: tuple[int, ...], radius: int | None = None) -> np.ndarr
     return _ball(tuple(shape), center, np.full(len(shape), float(radius)))
 
 
-def interior_hole_flips(mask, rate: float, min_depth: int = 3, seed: int = 0) -> np.ndarray:
-    """Flip deep-interior foreground sites to background with probability ``rate``.
-
-    Only sites at signed distance <= -min_depth are eligible, so the flips
-    form holes strictly inside the object. Eligible sites are visited in
-    row-major order; one coin each.
-    """
-    m = as_mask(mask)
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
-    if min_depth < 2:
-        raise ValueError("min_depth must be >= 2 to keep holes interior")
-    phi = signed_distance(m)
-    sites = np.flatnonzero(phi <= -float(min_depth))
-    out = m.copy()
-    if sites.size:
-        hit = sites[np.random.default_rng(seed).random(sites.size) < rate]
-        out.reshape(-1)[hit] = False
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -319,10 +297,8 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
 
     The masks are drawn from one generator set in turn to each mask's child
     seed (``noise._child_rngs``). Each mask is cropped to its foreground box
-    grown by 2 sites and clipped to the grid, the two fields come from one
-    distance transform of the stacked pair (``sdf._signed_distances``), and
-    everything is computed on the crop, with the same bits as over the whole
-    grid:
+    grown by 2 sites and clipped to the grid, and everything is computed on
+    the crop, with the same bits as over the whole grid:
 
     * The most-likely mask is the mask, its erosion or its dilation, so its
       foreground lies within the box grown by 1, and the two masks differ
@@ -363,8 +339,8 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
         mask = mask[crop]
         key = (mask.shape, np.packbits(mask).tobytes())
         if key not in seen:
-            clean, likely = _signed_distances((mask, bayes_mask_one_step(mask, theta1, theta2)))
-            diff = likely - clean
+            likely = bayes_mask_one_step(mask, theta1, theta2)
+            diff = signed_distance(likely) - signed_distance(mask)
             sums = diff
             for _ in range(diff.ndim):
                 # the last axis becomes a leading axis of 3: its sum, first, last

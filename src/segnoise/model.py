@@ -266,15 +266,46 @@ class LogisticSegmenter:
 
     @classmethod
     def from_json(cls, text: str) -> "LogisticSegmenter":
+        """The model that ``to_json`` wrote. Raises ValueError, saying what is
+        wrong, for any other text."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a model file holds a JSON object, not a {type(doc).__name__}")
         if doc.get("kind") != "logistic":
             raise ValueError(f"not a logistic model file (kind={doc.get('kind')!r})")
-        c = doc["config"]
+        c = doc.get("config")
+        if not isinstance(c, dict):
+            raise ValueError(f"'config' must be an object, got {c!r}")
+        missing = [k for k in ("learning_rate", "epochs", "l2", "feature_radii", "seed")
+                   if k not in c]
+        if missing:
+            raise ValueError(f"'config' lacks {', '.join(map(repr, missing))}")
+        for key in ("learning_rate", "l2"):
+            if not _is_number(c[key]):
+                raise ValueError(f"'config.{key}' must be a number, got {c[key]!r}")
+        for key in ("epochs", "seed"):
+            if not _is_int(c[key]):
+                raise ValueError(f"'config.{key}' must be an integer, got {c[key]!r}")
+        radii = c["feature_radii"]
+        if not (isinstance(radii, list) and all(_is_int(r) for r in radii)):
+            raise ValueError(f"'config.feature_radii' must be a list of integers, got {radii!r}")
+        w, n = doc.get("weights"), 2 + len(radii)
+        if not (isinstance(w, list) and len(w) == n
+                and all(_is_number(v) and math.isfinite(v) for v in w)):
+            raise ValueError(f"'weights' must be a list of {n} finite numbers "
+                             f"(2 + {len(radii)} feature radii), got {w!r}")
         model = cls(TrainConfig(learning_rate=c["learning_rate"], epochs=c["epochs"],
-                                l2=c["l2"], feature_radii=tuple(c["feature_radii"]),
-                                seed=c["seed"]))
-        model.weights = np.asarray(doc["weights"], dtype=np.float64)
+                                l2=c["l2"], feature_radii=tuple(radii), seed=c["seed"]))
+        model.weights = np.asarray(w, dtype=np.float64)
         return model
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
 
 
 def _digest(arr: np.ndarray) -> str:

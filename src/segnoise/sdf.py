@@ -6,9 +6,9 @@ distance to the nearest site of the *opposite* label, positive on background
 and negative on foreground, so |phi| >= 1 everywhere and phi is never 0: a
 boundary-layer site sits at +/-1, one layer further at +/-2, and so on.
 
-One distance transform serves both signs. Let L be the union of the two
-boundary layers, ``dilate_one(m) ^ erode_one(m)``. On a shortest path from a
-background site to its nearest foreground site, the last site is on the
+One distance transform of the mask serves both signs. Let L be the union of
+the two boundary layers, ``dilate_one(m) ^ erode_one(m)``. On a shortest path
+from a background site to its nearest foreground site, the last site is on the
 foreground layer and the one before it on the background layer, and no
 foreground-layer site is nearer than that foreground site; the same holds
 with the labels swapped. So |phi(x)| = 1 + d(x, L) at every site, and the
@@ -22,19 +22,9 @@ satisfies |x-y|_1 = |x-p|_1 + |p-y|_1, so d(x, L) = |x-p|_1 + d(p, L): the
 box's edge values carried outwards by slice writes, one more per step, one
 axis after another. Every value is a small integer held in float64, so each
 order of additions gives the same bits.
-
-Several masks of one shape take one transform: their layers are stacked
-over the union of their boxes, and the chamfer structure has no neighbour
-along the stack, so each mask's distances stay its own. With no obstacles,
-a site's distance to its mask's layers is the L1 distance to the nearest
-one, which a monotone path inside any box that holds both ends attains; so
-a box that holds all of a mask's layers gives that mask the same distances
-as its own box.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -59,59 +49,30 @@ def signed_distance(mask) -> np.ndarray:
     with no obstacles, grid shortest paths have length equal to the L1
     displacement.
     """
-    return _signed_distances([mask])[0]
-
-
-def _signed_distances(masks) -> np.ndarray:
-    """``signed_distance`` of each of several same-shape masks, stacked along
-    a new first axis, from one distance transform.
-
-    The masks' layers are stacked over the union of their boxes, and one
-    chamfer transform runs on the stack with the 4/6-neighbour structure in
-    the middle slice of a 3x...x3 array: it has no neighbour along the stack
-    axis, so no distance crosses from one mask to another. With no
-    obstacles, a site's taxicab distance to its own mask's layers is the
-    same on any box that holds those layers, so the union box gives each
-    mask the field of its own box, and the slice writes carry the box's edge
-    values outwards for all masks at once.
-    """
     from scipy import ndimage  # imported at first use, not by `import segnoise`
 
-    ms = [as_mask(m) for m in masks]
-    shape = ms[0].shape
-    parts = []  # each mask's layers on their own box, and that box on the grid
-    for m in ms:
-        crop = _box(m)
-        if crop is None:
-            raise DegenerateMaskError("mask is all foreground or all background")
-        crop = tuple(slice(max(0, c.start - 1), min(n, c.stop + 1)) for c, n in zip(crop, shape))
-        layers = _layers(m[crop])
-        inner = _box(layers)
-        if inner is None:
-            raise DegenerateMaskError("mask is all foreground or all background")
-        parts.append((layers[inner], tuple(slice(c.start + b.start, c.start + b.stop)
-                                           for c, b in zip(crop, inner))))
-    box = tuple(slice(min(own[k].start for _, own in parts), max(own[k].stop for _, own in parts))
-                for k in range(len(shape)))
-    off = np.ones((len(ms),) + tuple(b.stop - b.start for b in box), dtype=bool)  # off the layers
-    for stacked, (layers, own) in zip(off, parts):
-        np.logical_not(layers, out=stacked[tuple(slice(o.start - b.start, o.stop - b.start)
-                                                 for o, b in zip(own, box))])
-    phi = np.empty((len(ms),) + shape)
-    np.add(ndimage.distance_transform_cdt(off, metric=_stacked_taxicab(len(shape))), 1.0,
-           out=phi[(slice(None),) + box])
-    for axis, (b, n) in enumerate(zip(box, shape), start=1):
+    m = as_mask(mask)
+    crop = _box(m)
+    if crop is None:
+        raise DegenerateMaskError("mask is all foreground or all background")
+    crop = tuple(slice(max(0, c.start - 1), min(n, c.stop + 1)) for c, n in zip(crop, m.shape))
+    layers = _layers(m[crop])
+    inner = _box(layers)
+    if inner is None:  # all foreground: the grown box is the whole grid
+        raise DegenerateMaskError("mask is all foreground or all background")
+    box = tuple(slice(c.start + b.start, c.start + b.stop) for c, b in zip(crop, inner))
+    phi = np.empty(m.shape)
+    np.add(ndimage.distance_transform_cdt(~layers[inner], metric="taxicab"), 1.0, out=phi[box])
+    for axis, (b, n) in enumerate(zip(box, m.shape)):
         # the rows before and after the box along this axis, already full
         # along the axes before it and still box-sized along those after it
-        head, tail = (slice(None),) * axis, box[axis:]
+        head, tail = (slice(None),) * axis, box[axis + 1:]
         for edge, rows, steps in ((b.start, slice(0, b.start), np.arange(b.start, 0, -1.0)),
                                   (b.stop - 1, slice(b.stop, n), np.arange(1.0, n - b.stop + 1))):
             if steps.size:
                 np.add(phi[head + (slice(edge, edge + 1),) + tail],
                        steps.reshape((-1,) + (1,) * len(tail)), out=phi[head + (rows,) + tail])
-    for field, m in zip(phi, ms):
-        np.negative(field, out=field, where=m)
-    return phi
+    return np.negative(phi, out=phi, where=m)
 
 
 def _layers(m: np.ndarray) -> np.ndarray:
@@ -123,17 +84,6 @@ def _layers(m: np.ndarray) -> np.ndarray:
         out[a] |= differs
         out[b] |= differs
     return out
-
-
-@functools.cache
-def _stacked_taxicab(ndim: int) -> np.ndarray:
-    """The chamfer structure of a stack of ndim-D grids: the 4/6-neighbour
-    structure in the middle slice, nothing along the stack axis."""
-    from scipy import ndimage
-
-    structure = np.zeros((3,) * (ndim + 1), dtype=bool)
-    structure[1] = ndimage.generate_binary_structure(ndim, 1)
-    return structure
 
 
 def _box(a: np.ndarray) -> tuple[slice, ...] | None:

@@ -6,6 +6,10 @@ from hand-rolled neighbor loops, expectations from closed-form arithmetic.
 ``run_fresh`` runs code in a new interpreter, for what a running test process
 cannot show: what an import loads, or what an environment variable read at
 start-up changes.
+
+The last two helpers are fixtures, not oracles: ``boundaries`` and
+``interior_hole_flips`` build on segnoise's own code, and the tests that use
+them check that code against the oracles above.
 """
 
 import os
@@ -17,6 +21,8 @@ import numpy as np
 from scipy.ndimage import distance_transform_cdt, gaussian_filter
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
+
+from segnoise import as_mask, boundary_layer, signed_distance
 
 
 def brute_boundaries(mask):
@@ -167,3 +173,33 @@ def run_fresh(code, **env):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def boundaries(mask):
+    """Return ``(foreground boundary, background boundary)`` of a mask.
+
+    The two sets are disjoint; both are empty exactly when the mask is
+    uniform (all foreground or all background).
+    """
+    return boundary_layer(mask, False), boundary_layer(mask, True)
+
+
+def interior_hole_flips(mask, rate: float, min_depth: int = 3, seed: int = 0) -> np.ndarray:
+    """Flip deep-interior foreground sites to background with probability ``rate``.
+
+    Only sites at signed distance <= -min_depth are eligible, so the flips
+    form holes strictly inside the object. Eligible sites are visited in
+    row-major order; one coin each.
+    """
+    m = as_mask(mask)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must be in [0, 1]")
+    if min_depth < 2:
+        raise ValueError("min_depth must be >= 2 to keep holes interior")
+    phi = signed_distance(m)
+    sites = np.flatnonzero(phi <= -float(min_depth))
+    out = m.copy()
+    if sites.size:
+        hit = sites[np.random.default_rng(seed).random(sites.size) < rate]
+        out.reshape(-1)[hit] = False
+    return out

@@ -15,14 +15,14 @@ import pytest
 
 from segnoise import (CorrectionParams, MarkovNoiseParams, SynthSpec,
                       TrainConfig, ValidationBoundInputs, bayes_mask_one_step,
-                      boundaries, centered_disk, dice, estimate_bias,
+                      centered_disk, dice, estimate_bias,
                       expected_label_mc, generate, naive_correct, preset,
                       run_pipeline, signed_distance, sweep, verify_bayes_mask,
                       verify_validation_bound)
 from segnoise.cli import main as cli_main
 from segnoise.model import loss_and_grad
 
-from _oracles import (boundary_mean_sigma, brute_signed_distance,
+from _oracles import (boundaries, boundary_mean_sigma, brute_signed_distance,
                       finite_difference_grad, one_step_expectation, random_mask)
 
 THREADS = os.cpu_count() or 1

@@ -377,6 +377,37 @@ def test_train_same_seed_same_model(tmp_path, capsys):
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
+_CONFIG = {"learning_rate": 0.5, "epochs": 10, "l2": 0.0001, "feature_radii": [1], "seed": 0}
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("[1, 2]", "a model file holds a JSON object, not a list"),
+    (json.dumps({"kind": "logistic", "weights": [0.0, 0.0, 0.0], "config": [1]}),
+     "'config' must be an object, got [1]"),
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    (json.dumps({"kind": "logistic", "weights": [0.0, 0.0, 0.0]}),
+     "'config' must be an object, got None"),
+    (json.dumps({"kind": "logistic", "weights": [0.0, 0.0], "config": _CONFIG}),
+     "'weights' must be a list of 3 finite numbers"),
+    (json.dumps({"kind": "logistic", "weights": [0.0, 0.0, 0.0],
+                 "config": dict(_CONFIG, seed=None)}),
+     "'config.seed' must be an integer, got None"),
+    (json.dumps({"kind": "logistic", "weights": [0.0, 0.0, 0.0],
+                 "config": {k: v for k, v in _CONFIG.items() if k != "l2"}}),
+     "'config' lacks 'l2'"),
+], ids=["array", "config-list", "not-json", "no-config", "two-weights", "seed-null",
+        "no-l2"])
+def test_predict_names_a_malformed_model_file(tmp_path, capsys, text, detail):
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "predict", "--model", str(model),
+                       "--images-dir", str(tmp_path), "--out-dir", str(tmp_path / "logits"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {model}: {detail}")
+    assert not (tmp_path / "logits").exists()
+
+
 # ---------------------------------------------------------------- sc-run
 
 
@@ -560,6 +591,15 @@ def test_verify_theorem1_rejects_bad_inputs(capsys):
                      "--trials", "5")
     assert rc == 2
     assert "error:" in err
+
+
+def test_verify_theorem1_asks_for_a_square_image_size(capsys):
+    rc, out, err = run(capsys, "verify", "theorem1", "--eps0", "0.5", "--eps1", "2",
+                       "--eps", "1", "--alpha", "0.5", "--image-size", "1000")
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: --image-size must be a perfect square, got 1000: "
+                   "the CLI verifies square 2-D grids\n")
 
 
 def test_verify_theorem1_rejects_a_theta_out_of_range_in_the_identity_regime(capsys):

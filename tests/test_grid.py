@@ -9,13 +9,12 @@ from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_struc
 
 from segnoise import (
     as_mask,
-    boundaries,
     dice,
     dilate_one,
     erode_one,
     threshold,
 )
-from _oracles import brute_boundaries
+from _oracles import boundaries, brute_boundaries
 
 masks_2d = hnp.arrays(
     np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)

@@ -21,11 +21,9 @@ from segnoise import (
     TrialReport,
     ValidationBoundInputs,
     bayes_mask_one_step,
-    boundaries,
     centered_disk,
     dice,
     dilate_one,
-    interior_hole_flips,
     run_pipeline,
     signed_distance,
     sweep,
@@ -35,6 +33,8 @@ from segnoise import (
     verify_validation_bound,
     write_trial_report,
 )
+
+from _oracles import interior_hole_flips
 
 
 # ---------------------------------------------------------------- synthesis
@@ -311,14 +311,14 @@ def test_the_pool_computes_each_distinct_crop_once(monkeypatch):
     monkeypatch.setattr(harness, "_draw_mask", lambda rng, spec: next(draws))
     calls = []
 
-    def counted(pair):
-        calls.append(len(pair))
-        return signed_distances(pair)
+    def counted(mask):
+        calls.append(mask.shape)
+        return signed_distance(mask)
 
-    signed_distances = harness._signed_distances
-    monkeypatch.setattr(harness, "_signed_distances", counted)
+    monkeypatch.setattr(harness, "signed_distance", counted)
     got = harness._pool_gaps(SynthSpec(count=6, shape=shape), 0.7, 0.9, 0, 6)
-    assert calls == [2, 2, 2]
+    assert len(calls) == 6  # the most-likely mask and the mask, per distinct crop
+    assert calls[0::2] == calls[1::2]
     assert got.tobytes() == np.array([_full_grid_gaps(m, 0.7, 0.9) for m in masks]).T.tobytes()
 
 

@@ -15,7 +15,6 @@ from segnoise import (
     MarkovNoiseParams,
     SynthSpec,
     bayes_mask_one_step,
-    boundaries,
     centered_disk,
     dilate_one,
     erode_one,
@@ -27,6 +26,7 @@ from segnoise import (
     synth_masks,
 )
 from _oracles import (
+    boundaries,
     boundary_mean_sigma,
     brute_boundaries,
     one_step_expectation,

@@ -150,26 +150,6 @@ def test_two_components_with_a_wide_gap(shape):
     assert_both_oracles(~m)
 
 
-@pytest.mark.parametrize("shape", [(13, 17), (6, 7, 8)], ids=["13x17", "6x7x8"])
-def test_one_transform_gives_each_mask_of_a_stack_its_own_field(shape):
-    # the masks' boxes differ: a corner block, a block far from every edge,
-    # a random mask and a complement, so the union box is wider than each
-    from segnoise.sdf import _signed_distances
-
-    rng = np.random.default_rng(len(shape))
-    corner, middle = block(shape, [-1] * len(shape)), block(shape, [0] * len(shape))
-    for stack in ([corner, middle], [middle, ~corner, random_mask(rng, shape)],
-                  [block(shape, [1] * len(shape), side=1), corner]):
-        fields = _signed_distances(stack)
-        assert fields.shape == (len(stack),) + shape
-        for phi, m in zip(fields, stack):
-            assert_same_field(phi, brute_signed_distance(m))
-    for fill in (True, False):
-        with pytest.raises(DegenerateMaskError,
-                           match="^mask is all foreground or all background$"):
-            _signed_distances([corner, np.full(shape, fill), middle])
-
-
 @pytest.mark.parametrize("shape", [(81, 97), (40, 36, 44)], ids=["81x97", "40x36x44"])
 def test_shapes_far_from_every_edge(shape):
     m = centered_disk(shape, radius=6)
