@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -282,7 +283,7 @@ class LogisticSegmenter:
             raise ValueError(f"'config' lacks {', '.join(map(repr, missing))}")
         for key in ("learning_rate", "l2"):
             if not _is_number(c[key]):
-                raise ValueError(f"'config.{key}' must be a number, got {c[key]!r}")
+                raise ValueError(f"'config.{key}' must be a finite number, got {c[key]!r}")
         for key in ("epochs", "seed"):
             if not _is_int(c[key]):
                 raise ValueError(f"'config.{key}' must be an integer, got {c[key]!r}")
@@ -290,8 +291,7 @@ class LogisticSegmenter:
         if not (isinstance(radii, list) and all(_is_int(r) for r in radii)):
             raise ValueError(f"'config.feature_radii' must be a list of integers, got {radii!r}")
         w, n = doc.get("weights"), 2 + len(radii)
-        if not (isinstance(w, list) and len(w) == n
-                and all(_is_number(v) and math.isfinite(v) for v in w)):
+        if not (isinstance(w, list) and len(w) == n and all(_is_number(v) for v in w)):
             raise ValueError(f"'weights' must be a list of {n} finite numbers "
                              f"(2 + {len(radii)} feature radii), got {w!r}")
         model = cls(TrainConfig(learning_rate=c["learning_rate"], epochs=c["epochs"],
@@ -305,7 +305,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """An int or float that float64 holds as a finite value."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
 def _digest(arr: np.ndarray) -> str:

@@ -389,14 +389,16 @@ _CONFIG = {"learning_rate": 0.5, "epochs": 10, "l2": 0.0001, "feature_radii": [1
      "'config' must be an object, got None"),
     (json.dumps({"kind": "logistic", "weights": [0.0, 0.0], "config": _CONFIG}),
      "'weights' must be a list of 3 finite numbers"),
+    ('{"kind": "logistic", "weights": [0, 1e999, 0], "config": %s}' % json.dumps(_CONFIG),
+     "'weights' must be a list of 3 finite numbers"),
     (json.dumps({"kind": "logistic", "weights": [0.0, 0.0, 0.0],
                  "config": dict(_CONFIG, seed=None)}),
      "'config.seed' must be an integer, got None"),
     (json.dumps({"kind": "logistic", "weights": [0.0, 0.0, 0.0],
                  "config": {k: v for k, v in _CONFIG.items() if k != "l2"}}),
      "'config' lacks 'l2'"),
-], ids=["array", "config-list", "not-json", "no-config", "two-weights", "seed-null",
-        "no-l2"])
+], ids=["array", "config-list", "not-json", "no-config", "two-weights", "infinite-weight",
+        "seed-null", "no-l2"])
 def test_predict_names_a_malformed_model_file(tmp_path, capsys, text, detail):
     model = tmp_path / "model.json"
     model.write_text(text, encoding="utf-8")
