@@ -31,7 +31,8 @@ of ``run_pipeline`` come after ``synth_dataset``, which has imported it.
 
 A fork is unsafe while another thread of the caller holds a lock that the
 worker needs. segnoise starts no thread before the fork (the executor
-starts its own after it), and none of these loops calls BLAS (the logistic
+starts its own after it, and each ``map_ranges`` worker one that watches
+for its caller's death), and none of these loops calls BLAS (the logistic
 loss runs on numpy's own ``einsum`` loops), so OpenBLAS's idle threads are
 not needed in the workers, and two workers do not each start a team of
 spinning BLAS threads. On Python >= 3.12, forking a process that runs
@@ -42,6 +43,8 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 from contextlib import contextmanager
 from functools import partial
 
@@ -87,7 +90,9 @@ def map_ranges(fn, n: int, requested: int, grain: int, *args) -> list:
     ``grain`` is the fewest items that repay starting a worker. With one
     worker the call runs in this process as ``[fn(*args, 0, n)]``. ``fn``
     must be a module-level function. An exception raised in a worker is
-    raised here, and no worker outlives the call.
+    raised here. The workers are shut down before the call returns or
+    raises, and each leaves by itself within ``_WATCH_S`` if this process
+    dies first, even by a signal that unwinds nothing.
     """
     workers = worker_count(requested, n, grain)
     if workers == 1:
@@ -96,8 +101,25 @@ def map_ranges(fn, n: int, requested: int, grain: int, *args) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     edges = [n * k // workers for k in range(workers + 1)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_leave_with, initargs=(os.getpid(),)) as pool:
         return list(pool.map(partial(fn, *args), edges[:-1], edges[1:]))
+
+
+# seconds between a map_ranges worker's checks that its caller still lives
+_WATCH_S = 0.2
+
+
+def _leave_with(caller: int) -> None:
+    """A map_ranges worker's initializer: a daemon thread ends the worker
+    once its parent is no longer ``caller``, that is, once the caller died
+    and the worker was handed to another parent."""
+    def watch():
+        while os.getppid() == caller:
+            time.sleep(_WATCH_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def halves_in_turn(fn, n: int, *args):

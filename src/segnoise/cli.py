@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -18,8 +17,7 @@ import numpy as np
 
 from .correct import (CorrectionParams, ValidationBoundInputs, estimate_bias,
                       logit_correct, required_validation_size, spatial_correction)
-from .formats import (FormatError, load_field, load_gtf, load_mask, save_csv,
-                      save_field, save_mask)
+from .formats import load_field, load_gtf, load_mask, save_csv, save_field, save_mask
 from .grid import threshold
 from .harness import (SynthSpec, centered_disk, sweep, synth_dataset,
                       verify_bayes_mask, verify_validation_bound,
@@ -187,6 +185,8 @@ def _cmd_estimate_bias(args) -> int:
 def _cmd_correct(args) -> int:
     # check the flags before anything touches the disk
     CorrectionParams(gamma=args.gamma, stop_threshold=args.stop_threshold)
+    if not math.isfinite(args.delta):
+        raise ValueError(f"--delta must be finite, got {args.delta}")
     files = sorted(Path(args.logits_dir).glob("*.gtf"))
     if not files:
         raise ValueError(f"no .gtf files in {args.logits_dir}")
@@ -253,14 +253,15 @@ def _cmd_sc_run(args) -> int:
     val_masks = [load_mask(p) for p in _grid_files(args.val_masks)]
     truth = ([load_mask(p) for p in _grid_files(args.truth_dir)]
              if args.truth_dir else None)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # the external segmenter checks its flags before it writes anything
     if args.external_dir:
         model = ExternalSegmenter(args.external_dir, train_images, val_images,
                                   poll_interval=args.poll_interval,
                                   timeout=args.timeout)
     else:
         model = LogisticSegmenter(train_cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     result = spatial_correction(train_images, train_labels, val_images, val_masks,
                                 model, params, seed=args.seed, train_truth=truth,
                                 report_path=out / "report.csv")
@@ -514,8 +515,8 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (FormatError, DegenerateMaskError, OSError, ValueError, KeyError,
-            json.JSONDecodeError, TimeoutError, TrainingDivergedError) as e:
+    # format, degenerate-mask and JSON errors are ValueErrors, a timeout an OSError
+    except (OSError, ValueError, KeyError, TrainingDivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

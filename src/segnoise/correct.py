@@ -142,10 +142,13 @@ def logit_correct(logits, sdf, delta_hat: float, gamma: float = 1.0, *,
     are essentially preserved. ``lam`` defaults to lambda_bias of this
     image. Below ``stop_threshold`` the bias is considered noise and the
     logits are returned unchanged (as a copy); the threshold must be at
-    least one lattice layer.
+    least one lattice layer. ``delta_hat`` must be finite: an infinite one
+    would shift every site of the image by the same ``lam``.
     """
     f = as_field(logits)
     _check_gamma_and_stop(gamma, stop_threshold)
+    if not math.isfinite(delta_hat):
+        raise ValueError(f"delta_hat must be finite, got {delta_hat}")
     if abs(delta_hat) < stop_threshold:
         return f.copy()
     d = as_field(sdf)
@@ -238,6 +241,9 @@ def spatial_correction(train_images: Sequence[np.ndarray],
 
     ``train_truth`` is only used for reporting. Returns the final model, the
     final labels, and one IterationRecord per fit whose bias was estimated.
+    If a fit or a prediction raises after the first round finished, the
+    records of the finished rounds are written to ``report_path`` before
+    the exception propagates.
     """
     params = params or CorrectionParams()
     if len(train_images) != len(train_labels) or not train_images:
@@ -266,42 +272,44 @@ def spatial_correction(train_images: Sequence[np.ndarray],
             return float("nan")
         return float(np.mean([dice(l, t) for l, t in zip(labels, train_truth)]))
 
-    model.fit(train_images, labels, seed)
-    for iteration in range(params.max_iters + 1):
-        pred_sdfs: list[np.ndarray | None] = []
-        dscs = []
-        for img, vmask, vsdf in zip(val_images, val_masks, val_sdfs):
-            logits, psdf = _predicted_sdf(model, img)
-            pred_sdfs.append(psdf if vsdf is not None else None)
-            dscs.append(dice(threshold(logits, 0.0, mode="ge"), vmask))
-        if iteration > 0 and all(p is None for p in pred_sdfs):
-            log.warning("stopping at round %d: no validation prediction of its refit "
-                        "has a boundary, so no bias can be estimated; keeping the "
-                        "labels and the records so far", iteration)
-            break
-        est = estimate_bias(pred_sdfs, val_sdfs)
-        records.append(IterationRecord(iteration=iteration, delta_hat=est.delta_hat,
-                                       lambda_mean=lam_mean,
-                                       train_label_dsc=labels_dsc(),
-                                       val_dsc=float(np.mean(dscs))))
-        if abs(est.delta_hat) < params.stop_threshold or iteration == params.max_iters:
-            break
-        lams = []
-        for i, img in enumerate(train_images):
-            logits, psdf = _predicted_sdf(model, img)
-            if psdf is None:
-                log.warning("training prediction %d has no boundary; label kept as is", i)
-                continue
-            lam = lambda_bias(logits, psdf, est.delta_hat)
-            lams.append(lam)
-            corrected = logit_correct(logits, psdf, est.delta_hat, params.gamma,
-                                      lam=lam, stop_threshold=params.stop_threshold)
-            labels[i] = threshold(corrected, 0.0, mode="ge")
-        lam_mean = float(np.mean(lams)) if lams else float("nan")
+    try:
         model.fit(train_images, labels, seed)
-
-    if report_path is not None:
-        write_report(records, report_path)
+        for iteration in range(params.max_iters + 1):
+            pred_sdfs: list[np.ndarray | None] = []
+            dscs = []
+            for img, vmask, vsdf in zip(val_images, val_masks, val_sdfs):
+                logits, psdf = _predicted_sdf(model, img)
+                pred_sdfs.append(psdf if vsdf is not None else None)
+                dscs.append(dice(threshold(logits, 0.0, mode="ge"), vmask))
+            if iteration > 0 and all(p is None for p in pred_sdfs):
+                log.warning("stopping at round %d: no validation prediction of its refit "
+                            "has a boundary, so no bias can be estimated; keeping the "
+                            "labels and the records so far", iteration)
+                break
+            est = estimate_bias(pred_sdfs, val_sdfs)
+            records.append(IterationRecord(iteration=iteration, delta_hat=est.delta_hat,
+                                           lambda_mean=lam_mean,
+                                           train_label_dsc=labels_dsc(),
+                                           val_dsc=float(np.mean(dscs))))
+            if abs(est.delta_hat) < params.stop_threshold or iteration == params.max_iters:
+                break
+            lams = []
+            for i, img in enumerate(train_images):
+                logits, psdf = _predicted_sdf(model, img)
+                if psdf is None:
+                    log.warning("training prediction %d has no boundary; label kept as is", i)
+                    continue
+                lam = lambda_bias(logits, psdf, est.delta_hat)
+                lams.append(lam)
+                corrected = logit_correct(logits, psdf, est.delta_hat, params.gamma,
+                                          lam=lam, stop_threshold=params.stop_threshold)
+                labels[i] = threshold(corrected, 0.0, mode="ge")
+            lam_mean = float(np.mean(lams)) if lams else float("nan")
+            model.fit(train_images, labels, seed)
+    finally:
+        # a fit or prediction that raises keeps the rows of the rounds before it
+        if report_path is not None and records:
+            write_report(records, report_path)
     return SpatialCorrectionResult(model=model, labels=labels, records=records)
 
 

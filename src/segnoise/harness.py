@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -50,7 +49,7 @@ class SynthSpec:
     """Synthetic segmentation dataset description.
 
     Masks are random blobs (single balls or unions of 1-3 axis-aligned
-    ellipses) kept at least ``margin`` sites away from the grid edge.
+    ellipses) kept at least 2 sites (``_MARGIN``) away from the grid edge.
     Images are ``contrast * blur(mask) + N(0, noise_sigma)``. The optional
     ``holes=(count, radius)`` punches that many interior background balls
     into every mask, each fully surrounded by foreground.
@@ -63,7 +62,6 @@ class SynthSpec:
     blur_sigma: float = 1.5
     noise_sigma: float = 0.3
     holes: tuple[int, int] | None = None
-    margin: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -79,12 +77,14 @@ class SynthSpec:
             raise ValueError("contrast must be positive")
         if self.blur_sigma < 0 or self.noise_sigma < 0:
             raise ValueError("sigmas must be >= 0")
-        if self.margin < 2:
-            raise ValueError("margin must be >= 2")
         if self.holes is not None:
             hc, hr = self.holes
             if hc < 1 or hr < 1:
                 raise ValueError("holes=(count, radius) must both be >= 1")
+
+
+# sites between every synthetic shape and the grid's edge
+_MARGIN = 2
 
 
 def _ball(shape: tuple[int, ...], center: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -113,7 +113,7 @@ def _draw_mask(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
         else:
             radii = rng.integers(lo, hi + 1, size=len(spec.shape)).astype(float)
         center = np.array([
-            int(rng.integers(spec.margin + int(r), e - spec.margin - int(r)))
+            int(rng.integers(_MARGIN + int(r), e - _MARGIN - int(r)))
             for e, r in zip(spec.shape, radii)
         ], dtype=float)
         mask |= _ball(spec.shape, center, radii)
@@ -150,10 +150,9 @@ def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
     # run_pipeline forks its arm fits after this, and their features need it
     from scipy import ndimage
 
-    children = np.random.SeedSequence(spec.seed).spawn(spec.count)
+    entropy = np.random.SeedSequence(spec.seed).entropy
     images, masks = [], []
-    for child in children:
-        rng = np.random.default_rng(child)
+    for rng in _child_rngs(entropy, 0, spec.count):
         mask = _draw_mask(rng, spec)
         clean = spec.contrast * (
             ndimage.gaussian_filter(mask.astype(np.float64), spec.blur_sigma,
@@ -182,18 +181,13 @@ def centered_disk(shape: tuple[int, ...], radius: int | None = None) -> np.ndarr
 
 @dataclass
 class TrialReport:
-    """Outcome of one verification run.
-
-    ``wall_time_s`` is kept in memory for operators but deliberately left
-    out of serialized artifacts so reruns are byte-identical.
-    """
+    """Outcome of one verification run."""
 
     name: str
     passed: bool
     seed: int
     params: dict
     measurements: dict
-    wall_time_s: float = 0.0
 
     def rows(self) -> list[tuple[str, str]]:
         def fmt(v) -> str:
@@ -229,7 +223,6 @@ def verify_bayes_mask(mask, theta1: float, theta2: float, theta3: float,
     foreground or all background) raises DegenerateMaskError: no site of it
     can move, so every site would pass as decided.
     """
-    t0 = time.perf_counter()
     m = as_mask(mask)
     if m.all() or not m.any():
         raise DegenerateMaskError("mask is all foreground or all background; "
@@ -253,7 +246,6 @@ def verify_bayes_mask(mask, theta1: float, theta2: float, theta3: float,
                       "n_decided": int(decided.sum()),
                       "n_sites": int(m.size),
                       "n_disagree": disagree},
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -355,13 +347,12 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
 
 def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
                             theta1: float = 0.7, theta2: float = 0.9,
-                            grid_shape: tuple[int, ...] | None = None,
                             holdout: int = 200, family: str = "disks",
-                            max_pool: int | None = None,
                             seed: int = 0) -> TrialReport:
     """Empirically test the validation-size bound on a synthetic pool.
 
-    Builds a pool of clean masks whose "predictor" is the one-step
+    Builds a pool of clean masks on the square grid of
+    ``inputs.image_size`` sites, whose "predictor" is the one-step
     most-likely mask's SDF plus a controlled per-image offset (mean
     magnitude eps0, sup eps1). Each trial re-draws the offsets, samples the
     bound's V validation images, estimates the bias as the grand mean of
@@ -377,7 +368,6 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
     In the identity regime the most-likely mask is the mask itself, so every
     gap is exactly 0 and no pool is built.
     """
-    t0 = time.perf_counter()
     regime = _one_step_regime(theta1, theta2)  # checks both thetas first
     if inputs.alpha > 1.0:
         raise ValueError("alpha must be <= 1 for an empirical failure-rate test")
@@ -385,24 +375,16 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
         raise ValueError("n_trials must be >= 1")
     if holdout < 1:
         raise ValueError("holdout must be >= 1")
-    if grid_shape is None:
-        side = math.isqrt(inputs.image_size)
-        if side * side != inputs.image_size:
-            raise ValueError("image_size is not a perfect square; pass grid_shape explicitly")
-        grid_shape = (side, side)
-    if int(np.prod(grid_shape)) != inputs.image_size:
-        raise ValueError(f"grid_shape {grid_shape} has {int(np.prod(grid_shape))} sites, "
-                         f"inputs.image_size says {inputs.image_size}")
+    side = math.isqrt(inputs.image_size)
+    if side * side != inputs.image_size:
+        raise ValueError(f"image_size must be a perfect square, got {inputs.image_size}")
     v_needed = required_validation_size(inputs)
     if v_needed < 1:
         raise ValueError("the bound asks for zero validation images; nothing to verify")
     pool_size = v_needed + holdout
-    if max_pool is not None and pool_size > max_pool:
-        raise ValueError(f"required V={v_needed} plus holdout={holdout} exceeds "
-                         f"the fixture pool cap of {max_pool} images")
 
     pool_ss, trial_ss = np.random.SeedSequence(seed).spawn(2)
-    spec = SynthSpec(count=pool_size, shape=tuple(grid_shape), family=family,
+    spec = SynthSpec(count=pool_size, shape=(side, side), family=family,
                      seed=int(pool_ss.generate_state(1)[0]))
     if regime == "identity":
         # the most-likely mask is the mask itself: every gap is exactly 0
@@ -454,7 +436,6 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
                       "rate_ci95_low": ci_lo, "rate_ci95_high": ci_hi,
                       "mean_error": error_sum / n_trials,
                       "fail_threshold": fail_threshold},
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -501,8 +482,7 @@ def run_pipeline(spec: SynthSpec, noise: LabelNoise,
                  correction: CorrectionParams | None = None,
                  train_cfg: TrainConfig | None = None, *,
                  n_val: int, n_test: int, seed: int = 0,
-                 n_val_used: int | None = None,
-                 metrics_path=None, sc_report_path=None) -> PipelineResult:
+                 n_val_used: int | None = None) -> PipelineResult:
     """Three-arm comparison on one synthetic dataset.
 
     Splits ``spec.count`` images into train/val/test, corrupts the training
@@ -553,13 +533,9 @@ def run_pipeline(spec: SynthSpec, noise: LabelNoise,
     # the loop's first fit is the noisy arm's, which noisy_model already holds
     sc = spatial_correction(images[tr], noisy, images[va], masks[va],
                             noisy_model, correction, seed=seed,
-                            train_truth=masks[tr], report_path=sc_report_path)
+                            train_truth=masks[tr])
     metrics.append({"arm": "sc", "seed": seed,
                     "test_dsc": _mean_test_dsc(sc.model, images[te], masks[te])})
-
-    if metrics_path is not None:
-        save_csv(metrics_path, ["arm", "seed", "test_dsc"],
-                 [[row["arm"], row["seed"], repr(row["test_dsc"])] for row in metrics])
     return PipelineResult(metrics=metrics, sc_records=sc.records,
                           train_masks=list(masks[tr]), noisy_labels=noisy,
                           corrected_labels=sc.labels)

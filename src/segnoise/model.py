@@ -337,13 +337,20 @@ class ExternalSegmenter:
 
     Rounds are numbered from 0 in every instance, so ``root`` must not hold
     a ``round_NNN/`` directory of an earlier run: the constructor raises
-    ``ValueError`` naming it before writing anything.
+    ``ValueError`` naming it before writing anything. It does the same for a
+    ``poll_interval`` that is not positive and finite, and a ``timeout``
+    that is neither None nor positive and finite: NaN fails every comparison,
+    so a NaN timeout would never expire.
     """
 
     def __init__(self, root, train_images, val_images,
                  poll_interval: float = 0.5, timeout: float | None = None):
         from . import formats  # local import: formats has no model dependency
 
+        if not (math.isfinite(poll_interval) and poll_interval > 0):
+            raise ValueError(f"poll_interval must be positive and finite, got {poll_interval}")
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be positive and finite, got {timeout}")
         self._formats = formats
         self.root = Path(root)
         used = sorted(p.name for p in self.root.glob("round_*")

@@ -4,8 +4,8 @@ Nothing here may call into segnoise's own geometry/distance code paths. Distance
 come from explicit graph adjacency plus scipy's shortest-path solver, boundaries
 from hand-rolled neighbor loops, expectations from closed-form arithmetic.
 ``run_fresh`` runs code in a new interpreter, for what a running test process
-cannot show: what an import loads, or what an environment variable read at
-start-up changes.
+cannot show: what an import loads, what an environment variable read at
+start-up changes, or what outlives a killed process (``start_fresh``).
 
 The last two helpers are fixtures, not oracles: ``boundaries`` and
 ``interior_hole_flips`` build on segnoise's own code, and the tests that use
@@ -165,14 +165,24 @@ def random_mask(rng, shape, p=None):
     return m
 
 
+def _fresh_env(env: dict) -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_fresh(code, **env):
     """Run ``code`` in a new interpreter that imports segnoise from this
     checkout, with ``env`` added to the environment."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=_fresh_env(env),
                           capture_output=True, text=True)
+
+
+def start_fresh(code, **env):
+    """``run_fresh`` without waiting: the running process, its stdout a
+    text pipe."""
+    return subprocess.Popen([sys.executable, "-c", code], env=_fresh_env(env),
+                            stdout=subprocess.PIPE, text=True)
 
 
 def boundaries(mask):

@@ -464,6 +464,19 @@ def test_correct_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys):
     assert not out_dir.exists()  # refused before anything was written
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_correct_rejects_a_non_finite_delta_before_writing(tmp_path, capsys, value):
+    # an infinite delta would shift every logit by the band's extreme: all foreground
+    logits_dir = tmp_path / "logits"
+    logits_dir.mkdir()
+    save_field(np.where(dilate_one(np.eye(8, dtype=bool)), 1.0, -1.0), logits_dir / "a.gtf")
+    out_dir = tmp_path / "corrected"
+    rc, _, err = run(capsys, "correct", "--logits-dir", str(logits_dir), f"--delta={value}",
+                     "--out-dir", str(out_dir))
+    assert (rc, err) == (2, f"error: --delta must be finite, got {float(value)}\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("inputs", ["empty", "masks"])
 def test_correct_reads_every_input_before_it_creates_the_out_dir(tmp_path, capsys, inputs):
     logits_dir = tmp_path / "logits"
@@ -539,6 +552,23 @@ def test_sc_run_refuses_a_used_external_dir(tmp_path, capsys):
     assert err.startswith("error: ") and str(ext / "round_000") in err
     assert "Traceback" not in err
     assert sorted(p.name for p in ext.iterdir()) == ["round_000"]  # no image written
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--poll-interval", "inf"), ("--poll-interval", "nan"), ("--poll-interval", "0"),
+    ("--timeout", "nan"), ("--timeout", "inf"), ("--timeout", "-1"),
+])
+def test_sc_run_refuses_an_external_wait_it_cannot_keep_before_writing(tmp_path, capsys,
+                                                                       deadline, flag, value):
+    images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
+    ext, out = tmp_path / "ext", tmp_path / "run"
+    rc, _, err = run(capsys, "sc-run", "--train-images", str(images_dir),
+                     "--train-labels", str(masks_dir), "--val-images", str(images_dir),
+                     "--val-masks", str(masks_dir), "--external-dir", str(ext),
+                     f"{flag}={value}", "--out", str(out))
+    name = flag[2:].replace("-", "_")
+    assert (rc, err) == (2, f"error: {name} must be positive and finite, got {float(value)}\n")
+    assert not ext.exists() and not out.exists()
 
 
 # ---------------------------------------------------------------- verify

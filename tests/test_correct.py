@@ -176,6 +176,13 @@ def test_logit_correct_rejects_a_stop_threshold_below_one_layer(disk9):
         logit_correct(-phi, phi, 0.8, stop_threshold=0.5)
 
 
+@pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+def test_logit_correct_rejects_a_non_finite_bias(disk9, delta):
+    phi = signed_distance(disk9)
+    with pytest.raises(ValueError, match=f"^delta_hat must be finite, got {delta}$"):
+        logit_correct(-phi, phi, delta)
+
+
 def test_one_pass_with_a_two_deep_band_recovers_the_disk():
     # With |shift| = 2 the band reaches depth two, lambda = -2 outweighs the
     # rim logit, and thresholding undoes exactly one dilation.
@@ -330,6 +337,36 @@ def test_loop_keeps_its_records_when_a_refit_goes_blank(tmp_path, caplog):
         spatial_correction(images, noisy, images, masks, BlankAfterFits(good=0),
                            CorrectionParams(max_iters=3), report_path=tmp_path / "r0.csv")
     assert not (tmp_path / "r0.csv").exists()
+
+
+class FitFails(MemorizingStub):
+    """A MemorizingStub whose fit number ``fail_at`` raises TimeoutError, as
+    an external trainer's fit does when no DONE sentinel comes."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+        self.fits = 0
+
+    def fit(self, images, labels, seed=None):
+        self.fits += 1
+        if self.fits == self.fail_at:
+            raise TimeoutError("no DONE after 1.0s")
+        return super().fit(images, labels, seed)
+
+
+def test_loop_writes_the_finished_rounds_when_a_refit_raises(tmp_path):
+    # the stall setup above: without the failure the loop writes 4 rows
+    masks = [centered_disk((15, 15), radius=4), centered_disk((15, 15), radius=3)]
+    images = [m.astype(np.float64) * (i + 1.0) for i, m in enumerate(masks)]
+    noisy = [dilate_one(m) for m in masks]
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    spatial_correction(images, noisy, images, masks, MemorizingStub(),
+                       CorrectionParams(max_iters=3), train_truth=masks, report_path=whole)
+    with pytest.raises(TimeoutError):
+        spatial_correction(images, noisy, images, masks, FitFails(fail_at=3),
+                           CorrectionParams(max_iters=3), train_truth=masks, report_path=cut)
+    assert cut.read_text().splitlines() == whole.read_text().splitlines()[:3]
 
 
 def test_report_formats_missing_lambda_as_empty(tmp_path):

@@ -4,13 +4,15 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from segnoise import _fanout
 from segnoise._fanout import map_ranges
-from _oracles import run_fresh
+from _oracles import run_fresh, start_fresh
 
 
 def span(tag, lo, hi):
@@ -162,6 +164,65 @@ def test_a_helper_that_dies_makes_the_caller_raise(cpus, deadline):
                 both(np.zeros(1))
             both(np.zeros(1))
     assert_no_child_left()
+
+
+# A caller that prints the pid of each process working for it, then waits.
+# SIGTERM ends it at once: no finally block or context exit runs.
+KILLED_CALLER = """\
+import os, time
+import numpy as np
+os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
+from segnoise import _fanout
+def nap(lo, hi):
+    print(os.getpid(), flush=True)
+    time.sleep(60)
+def pid(x, lo, hi):
+    return np.array([os.getpid()], dtype=np.float64)
+%s
+"""
+
+KILLED_FAN_OUTS = {
+    "map_ranges": "_fanout.map_ranges(nap, 2, 2, 1)",
+    "halves": """with _fanout.halves(pid, 2, 1, 1) as both:
+    print(int(both(np.zeros(1))[1][0]), flush=True)
+    time.sleep(60)""",
+}
+
+
+def alive(pid):
+    """Whether ``pid`` runs; a zombie, which only waits to be reaped, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+@pytest.mark.parametrize("fan_out", sorted(KILLED_FAN_OUTS))
+def test_workers_leave_when_their_caller_is_killed(deadline, fan_out):
+    caller = start_fresh(KILLED_CALLER % KILLED_FAN_OUTS[fan_out])
+    workers = []
+    try:
+        for _ in range(2 if fan_out == "map_ranges" else 1):
+            workers.append(int(caller.stdout.readline()))
+        assert caller.pid not in workers
+        caller.send_signal(signal.SIGTERM)
+        caller.wait()
+        gone_by = time.monotonic() + 3.0  # a map_ranges worker looks every 0.2 s
+        while any(map(alive, workers)) and time.monotonic() < gone_by:
+            time.sleep(0.02)
+        assert not any(map(alive, workers))
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+        for pid in filter(alive, workers):  # a failed run leaves no process behind
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 # A forked worker inherits its parent's modules but imports anything else

@@ -52,7 +52,7 @@ def test_spec_validation():
 
 
 def test_masks_fit_inside_the_margin():
-    spec = SynthSpec(count=30, shape=(32, 32), margin=2, seed=1)
+    spec = SynthSpec(count=30, shape=(32, 32), seed=1)
     for m in synth_masks(spec):
         assert m.any() and not m.all()
         assert not m[:2, :].any() and not m[-2:, :].any()
@@ -60,10 +60,11 @@ def test_masks_fit_inside_the_margin():
 
 
 def test_ellipse_union_family_also_respects_margins():
-    spec = SynthSpec(count=20, shape=(40, 40), family="ellipse-unions", margin=3, seed=5)
+    spec = SynthSpec(count=20, shape=(40, 40), family="ellipse-unions", seed=5)
     for m in synth_masks(spec):
         assert m.any()
-        assert not m[:3, :].any() and not m[-3:, :].any()
+        assert not m[:2, :].any() and not m[-2:, :].any()
+        assert not m[:, :2].any() and not m[:, -2:].any()
 
 
 def test_dataset_is_deterministic_and_masks_match():
@@ -156,13 +157,11 @@ def test_trial_report_rows_and_csv(tmp_path):
         seed=7,
         params={"theta1": 0.7},
         measurements={"rate": 0.25, "ok": True},
-        wall_time_s=1.23,
     )
     rows = rep.rows()
     keys = [k for k, _ in rows]
     assert keys[:3] == ["name", "passed", "seed"]
     assert "params.theta1" in keys and "measurements.rate" in keys
-    assert all(k != "wall_time_s" for k in keys)  # timing varies run to run
     path = tmp_path / "t.csv"
     write_trial_report(rep, path)
     text = path.read_text()
@@ -333,6 +332,12 @@ def test_incomplete_beta_inverse_is_the_beta_quantile():
         assert np.array_equal(betaincinv(k + 1, n - k, 0.975), beta.ppf(0.975, k + 1, n - k))
 
 
+def test_bound_check_asks_for_a_square_image_size():
+    inputs = ValidationBoundInputs(eps0=1.0, eps1=6.0, eps=2.5, alpha=0.05, image_size=1000)
+    with pytest.raises(ValueError, match="^image_size must be a perfect square, got 1000$"):
+        verify_validation_bound(inputs, n_trials=10, holdout=10, seed=0)
+
+
 def test_bound_check_confidence_bounds_are_clopper_pearson():
     rep = verify_validation_bound(small_bound_inputs(), n_trials=20, holdout=10, seed=9)
     n, k = 20, rep.measurements["failures"]
@@ -342,13 +347,6 @@ def test_bound_check_confidence_bounds_are_clopper_pearson():
     assert rep.measurements["rate_ci95_high"] == float(beta.ppf(0.975, k + 1, n - k))
 
 
-def test_bound_check_rejects_v_beyond_the_pool_cap():
-    # these inputs demand V = 2125; a 100-image cap cannot hold them
-    inputs = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=1024)
-    with pytest.raises(ValueError, match="pool cap"):
-        verify_validation_bound(inputs, n_trials=10, holdout=10, max_pool=100, seed=0)
-
-
 # ---------------------------------------------------------------- pipeline
 
 
@@ -356,9 +354,8 @@ def tiny_spec(count=40, seed=0):
     return SynthSpec(count=count, shape=(32, 32), blur_sigma=1.2, noise_sigma=0.25, seed=seed)
 
 
-def test_pipeline_zero_noise_keeps_all_arms_close(tmp_path):
+def test_pipeline_zero_noise_keeps_all_arms_close():
     noise = MarkovNoiseParams(steps=0, theta1=0.5, theta2=0.5)
-    metrics_path = tmp_path / "metrics.csv"
     res = run_pipeline(
         tiny_spec(),
         noise,
@@ -367,17 +364,14 @@ def test_pipeline_zero_noise_keeps_all_arms_close(tmp_path):
         n_val=4,
         n_test=8,
         seed=0,
-        metrics_path=metrics_path,
     )
     scores = {row["arm"]: row["test_dsc"] for row in res.metrics}
     assert set(scores) == {"clean", "noisy", "sc"}
     assert abs(scores["clean"] - scores["noisy"]) < 0.005
     assert abs(scores["clean"] - scores["sc"]) < 0.005
-    header = metrics_path.read_text().splitlines()[0]
-    assert header == "arm,seed,test_dsc"
 
 
-def test_pipeline_correction_reduces_the_label_gap(tmp_path):
+def test_pipeline_correction_reduces_the_label_gap():
     # drift must be deep enough that the first estimate clears the |delta|>=1
     # stop threshold even after the model partially denoises the labels
     noise = MarkovNoiseParams(steps=8, theta1=0.9, theta2=0.6, theta3=0.02, seed=0)
@@ -389,14 +383,12 @@ def test_pipeline_correction_reduces_the_label_gap(tmp_path):
         n_val=6,
         n_test=10,
         seed=3,
-        sc_report_path=tmp_path / "sc.csv",
     )
     noisy_dsc = np.mean([dice(n, t) for n, t in zip(res.noisy_labels, res.train_masks)])
     corrected_dsc = np.mean(
         [dice(c, t) for c, t in zip(res.corrected_labels, res.train_masks)]
     )
     assert corrected_dsc > noisy_dsc
-    assert (tmp_path / "sc.csv").exists()
     assert len(res.sc_records) >= 2
     assert abs(res.sc_records[0].delta_hat) >= 1.0
 

@@ -393,6 +393,18 @@ def _respond(root, n_train, n_val, scale=1.0, shape=(8, 8)):
     (rdir / "DONE").touch()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("poll_interval", float("inf")), ("poll_interval", float("nan")), ("poll_interval", 0.0),
+    ("timeout", float("nan")), ("timeout", float("inf")), ("timeout", -1.0),
+])
+def test_external_refuses_a_wait_it_cannot_keep_before_writing(tmp_path, name, value):
+    # a NaN timeout fails every comparison, so the wait would never expire
+    root = tmp_path / "ext"
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
+        ExternalSegmenter(root, [np.zeros((8, 8))], [], **{name: value})
+    assert not root.exists()
+
+
 def test_external_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     train = [rng.standard_normal((8, 8)) for _ in range(2)]
