@@ -4,11 +4,13 @@ Two shapes of work are split here, and each gives the same bits whatever
 the number of processes:
 
 * ``map_ranges`` maps a function over consecutive index ranges. The Monte
-  Carlo and the validation-bound pool are loops over independent, seeded
-  items: item i draws from the i-th child of one SeedSequence. The clean
-  and noisy arms of ``run_pipeline`` are two independent fits, each a pure
-  function of its config and data. Computed in separate processes, all of
-  them give the same results in the same order as one loop.
+  Carlo is a loop over independent, seeded items: item i draws from the
+  i-th child of one SeedSequence. Each distinct crop of the
+  validation-bound pool is a pure function of its shapes' integer centers
+  and radii, and the clean and noisy arms of ``run_pipeline`` are two
+  independent fits, each a pure function of its config and data. Computed
+  in separate processes, all of them give the same results in the same
+  order as one loop.
 * ``halves`` runs one function on the two fixed halves ``[0, n//2)`` and
   ``[n//2, n)`` of a long loop, many times over: each epoch of a logistic
   fit sums its rows this way. One forked helper computes every second half

@@ -49,6 +49,24 @@ def _size(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}, expected an integer")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _synth_size(size: tuple[int, ...]) -> tuple[int, ...]:
+    """``--size`` of a synthetic dataset, which needs room for shapes with margin."""
+    if min(size) < 12:
+        raise ValueError(f"--size needs every extent >= 12 to leave room for shapes "
+                         f"with margin, got {'x'.join(map(str, size))}")
+    return size
+
+
 def _int_list(text: str) -> list[int]:
     try:
         vals = [int(p) for p in text.split(",") if p.strip()]
@@ -110,7 +128,7 @@ def _load_sdf_like(path: Path) -> np.ndarray | None:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(count=args.count, shape=args.size, family=args.family,
+    spec = SynthSpec(count=args.count, shape=_synth_size(args.size), family=args.family,
                      contrast=args.contrast, blur_sigma=args.blur_sigma,
                      noise_sigma=args.noise_sigma, holes=args.holes, seed=args.seed)
     images, masks = synth_dataset(spec)
@@ -295,6 +313,9 @@ def _cmd_verify_theorem1(args) -> int:
     if math.isqrt(inputs.image_size) ** 2 != inputs.image_size:
         raise ValueError(f"--image-size must be a perfect square, got {inputs.image_size}: "
                          "the CLI verifies square 2-D grids")
+    if inputs.image_size < 144:
+        raise ValueError(f"--image-size must be at least 144 (a 12x12 grid) to leave room "
+                         f"for shapes with margin, got {inputs.image_size}")
     report = verify_validation_bound(inputs, args.trials,
                                      theta1=args.theta1, theta2=args.theta2,
                                      holdout=args.holdout, family=args.family,
@@ -310,7 +331,7 @@ def _cmd_verify_theorem1(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SynthSpec(count=args.count, shape=args.size, blur_sigma=args.blur_sigma,
+    spec = SynthSpec(count=args.count, shape=_synth_size(args.size), blur_sigma=args.blur_sigma,
                      noise_sigma=args.noise_sigma, seed=args.seed)
     noise = _resolve_noise_params(args)
     rows = sweep(args.kind, args.values, spec, noise,
@@ -378,14 +399,14 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-sigma", type=float, default=0.3)
     p.add_argument("--holes", type=_pair, default=None, help="interior holes: COUNT,RADIUS")
     p.add_argument("--format", choices=("gtf", "pgm"), default="gtf", help="mask file format")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("gen-noise", help="corrupt a mask with boundary noise")
     p.add_argument("--mask", required=True)
     _add_noise_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_noise)
 
@@ -455,7 +476,7 @@ def build_parser() -> _Parser:
     v.add_argument("--samples", type=int, default=100_000)
     v.add_argument("--size", type=_size, default=(64, 64))
     v.add_argument("--radius", type=int, default=None, help="disk fixture radius")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker processes for the Monte Carlo, at most the CPU "
                         "count (default: the CPU count); the report does not depend on it")
@@ -469,7 +490,7 @@ def build_parser() -> _Parser:
     v.add_argument("--theta1", type=float, default=0.7)
     v.add_argument("--theta2", type=float, default=0.9)
     v.add_argument("--family", choices=("disks", "ellipse-unions"), default="disks")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--out", default=None, help="report CSV")
     v.set_defaults(func=_cmd_verify_theorem1)
 
@@ -486,7 +507,7 @@ def build_parser() -> _Parser:
     _add_train_flags(p)
     p.add_argument("--n-val", type=int, default=8)
     p.add_argument("--n-test", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="results CSV")
     p.set_defaults(func=_cmd_sweep)
 

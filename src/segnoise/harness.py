@@ -9,7 +9,6 @@ reproduces every byte.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -23,7 +22,7 @@ from .grid import as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig
 from .noise import (MarkovNoiseParams, _child_rngs, _one_step_regime, bayes_mask_one_step,
                     expected_label_mc, generate)
-from .sdf import DegenerateMaskError, _box, signed_distance
+from .sdf import DegenerateMaskError, signed_distance
 
 __all__ = [
     "SynthSpec",
@@ -87,7 +86,8 @@ class SynthSpec:
 _MARGIN = 2
 
 
-def _ball(shape: tuple[int, ...], center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _ball(shape: tuple[int, ...], center: Sequence[float],
+          radii: Sequence[float]) -> np.ndarray:
     # the quadric is evaluated on the ball's bounding box widened by one
     # site; beyond it one term alone exceeds 1
     box = tuple(slice(max(0, math.floor(c - r) - 1), min(e, math.ceil(c + r) + 2))
@@ -99,24 +99,41 @@ def _ball(shape: tuple[int, ...], center: np.ndarray, radii: np.ndarray) -> np.n
     return out
 
 
-def _draw_mask(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
-    """Draw one mask. Draw order (normative for reproducibility): shape count
-    (ellipse unions only), then per shape the radius/semi-axes per axis, then
-    the center per axis; hole centers last."""
+def _draw_balls(rng: np.random.Generator, spec: SynthSpec) -> list:
+    """The shapes of one mask, each as its integer ``(center, radii)``. Draw
+    order (normative for reproducibility): shape count (ellipse unions
+    only), then per shape the radius/semi-axes per axis, then the center per
+    axis. Along each axis a shape covers ``center - r`` to ``center + r``,
+    at least ``_MARGIN`` sites from the grid's edge."""
     lo = max(2, min(spec.shape) // 8)
     hi = max(lo, min(spec.shape) // 4)
-    mask = np.zeros(spec.shape, dtype=bool)
     n_shapes = 1 if spec.family == "disks" else int(rng.integers(1, 4))
+    balls = []
     for _ in range(n_shapes):
         if spec.family == "disks":
-            radii = np.full(len(spec.shape), int(rng.integers(lo, hi + 1)), dtype=float)
+            radii = (int(rng.integers(lo, hi + 1)),) * len(spec.shape)
         else:
-            radii = rng.integers(lo, hi + 1, size=len(spec.shape)).astype(float)
-        center = np.array([
-            int(rng.integers(_MARGIN + int(r), e - _MARGIN - int(r)))
-            for e, r in zip(spec.shape, radii)
-        ], dtype=float)
-        mask |= _ball(spec.shape, center, radii)
+            radii = tuple(int(r) for r in rng.integers(lo, hi + 1, size=len(spec.shape)))
+        center = tuple(int(rng.integers(_MARGIN + r, e - _MARGIN - r))
+                       for e, r in zip(spec.shape, radii))
+        balls.append((center, radii))
+    return balls
+
+
+def _paint(shape: tuple[int, ...], balls) -> np.ndarray:
+    """The union of ``balls``, each an integer ``(center, radii)``, on a grid of
+    ``shape``; a ball's bits depend only on its radii and where its center
+    sits on the grid."""
+    mask = np.zeros(shape, dtype=bool)
+    for center, radii in balls:
+        mask |= _ball(shape, center, radii)
+    return mask
+
+
+def _draw_mask(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
+    """Draw one mask: the shapes of ``_draw_balls`` painted on the grid, then
+    the hole centers, drawn last."""
+    mask = _paint(spec.shape, _draw_balls(rng, spec))
     if spec.holes is not None:
         hc, hr = spec.holes
         depth_needed = hr + 2  # hole stays strictly interior: a full FG layer survives
@@ -131,17 +148,16 @@ def _draw_mask(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     return mask
 
 
+def _mask_rngs(spec: SynthSpec) -> Iterator[np.random.Generator]:
+    """One generator set in turn to each mask's child seed: mask i draws from
+    ``SeedSequence(spec.seed).spawn(count)[i]`` alone."""
+    return _child_rngs(np.random.SeedSequence(spec.seed).entropy, 0, spec.count)
+
+
 def synth_masks(spec: SynthSpec) -> Iterator[np.ndarray]:
     """The masks of synth_dataset(spec), without the images, each drawn only
     when the caller's iteration reaches it, so a large pool is never held."""
-    return _pool_masks(spec, 0, spec.count)
-
-
-def _pool_masks(spec: SynthSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Masks lo..hi-1 of synth_masks(spec): mask i is drawn from the i-th
-    child seed alone, as ``SeedSequence(spec.seed).spawn(count)[i]`` gives it."""
-    entropy = np.random.SeedSequence(spec.seed).entropy
-    return (_draw_mask(rng, spec) for rng in _child_rngs(entropy, lo, hi))
+    return (_draw_mask(rng, spec) for rng in _mask_rngs(spec))
 
 
 def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -150,9 +166,8 @@ def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
     # run_pipeline forks its arm fits after this, and their features need it
     from scipy import ndimage
 
-    entropy = np.random.SeedSequence(spec.seed).entropy
     images, masks = [], []
-    for rng in _child_rngs(entropy, 0, spec.count):
+    for rng in _mask_rngs(spec):
         mask = _draw_mask(rng, spec)
         clean = spec.contrast * (
             ndimage.gaussian_filter(mask.astype(np.float64), spec.blur_sigma,
@@ -267,39 +282,64 @@ def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> 
     return sign * eps1 * hit
 
 
-# the fewest pool masks that repay a worker process; two workers start from
-# twice this many. Each worker computes its own distinct crops, so the break
-# even depends on how often a family repeats a crop. Medians of 7 calls, one
-# process against two, in turn, from two sets: disks, which repeat, broke
-# even between 400 and 800 masks at 32^2 (18-19 and 32-34 ms at 100, 39-58
-# and 55-63 ms at 400, 101-106 and 86-98 ms at 800) and at 256^2 (61-72 and
-# 68-71 ms at 100, 84-118 and 114-118 ms at 400, 172-180 and 155 ms at
-# 800); ellipse unions, which mostly do not, between 100 and 150 at 32^2
-# (36-57 and 51-66 ms at 100, 83-94 and 79-90 ms at 150) and near 20 at
-# 256^2 (46-49 and 48-50 ms at 20, 99-100 and 76 ms at 40). A count of
-# masks cannot fit both: this one keeps ellipse unions forking early, and a
-# disk pool of 100-800 masks pays up to ~30 ms for its second worker
-_POOL_GRAIN = 50
+# the fewest crop sites that repay a worker process for the pool's distinct
+# crops; two workers start from twice this many. A crop costs about 0.1 us
+# per site at 256^2 and up to 1 us at 32^2, where each crop's fixed cost
+# dominates, so the break-even falls with the grid. Medians of 7 alternating
+# calls of map_ranges(_crop_gaps, ...) in one process against two, 2 CPUs:
+# 256^2 ellipse unions 59 and 61 ms at 0.62 M sites, 83 and 75 ms at 0.80 M;
+# 32^3 ellipse unions 97 and 100 ms at 0.61 M, 138 and 111 ms at 0.80 M;
+# 256^2 disks 28 and 42 ms at 0.25 M; 64^2 ellipse unions 108 and 105 ms at
+# 0.25 M; 32^2 ellipse unions 36 and 63 ms at 0.05 M, 114 and 104 ms at
+# 0.10 M. This grain forks at no loss, and a small grid forgoes up to a
+# sixth (32^2 ellipse unions at 0.60 M: 566 against 477 ms). Every 256^2
+# disk pool has at most 33 distinct crops, 0.35 M sites, and never forks
+_POOL_SITE_GRAIN = 400_000
 
 
-def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
-               lo: int, hi: int) -> np.ndarray:
+def _crop_shape(balls) -> tuple[int, ...]:
+    """The shape of the crop whose shapes are ``balls``, their centers
+    relative to it: each axis ends 2 sites past the last shape's end."""
+    return tuple(max(c[a] + r[a] for c, r in balls) + 3 for a in range(len(balls[0][0])))
+
+
+def _crop_gaps(keys: list, theta1: float, theta2: float, lo: int, hi: int) -> list:
+    """``(edge sums, min gap, max gap)`` of the crops ``keys[lo:hi]`` of
+    ``_pool_gaps``, each given by its shapes' centers relative to it and
+    their radii."""
+    out = []
+    for balls in keys[lo:hi]:
+        mask = _paint(_crop_shape(balls), balls)
+        likely = bayes_mask_one_step(mask, theta1, theta2)
+        diff = signed_distance(likely) - signed_distance(mask)
+        sums = diff
+        for _ in range(diff.ndim):
+            # the last axis becomes a leading axis of 3: its sum, first, last
+            sums = np.stack((sums.sum(axis=-1), sums[..., 0], sums[..., -1]))
+        out.append((sums, diff.min(), diff.max()))
+    return out
+
+
+def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
     """Rows mean, min and max of the SDF gap between the one-step
-    most-likely mask and the clean mask, one column per pool mask lo..hi-1.
+    most-likely mask and the clean mask, one column per mask of
+    ``synth_masks(spec)``, for a spec without holes.
 
-    The masks are drawn from one generator set in turn to each mask's child
-    seed (``noise._child_rngs``). Each mask is cropped to its foreground box
-    grown by 2 sites and clipped to the grid, and everything is computed on
+    Each mask's shapes are drawn (``_draw_balls``) but not painted on the
+    grid. The mask is cropped to its foreground box grown by 2 sites: along
+    each axis, the sites ``min(center - r) - 2`` to ``max(center + r) + 2``
+    over its shapes. Every shape keeps ``_MARGIN`` = 2 sites from the grid's
+    edge, so the crop lies inside the grid, and everything is computed on
     the crop, with the same bits as over the whole grid:
 
     * The most-likely mask is the mask, its erosion or its dilation, so its
       foreground lies within the box grown by 1, and the two masks differ
-      only inside the crop. Every crop site within one step of a foreground
-      site lies inside the crop or on the grid's edge, so the one-step
-      morphology of the crop sees the same neighbours as on the grid. Both
-      masks' boundary layers L lie within one step of their foreground, so
-      inside the crop, and a crop's signed distance equals the full one on
-      the crop.
+      only inside the crop. Every site within one step of a foreground site
+      lies within the box grown by 1, so its neighbours lie in the crop, and
+      the one-step morphology of the crop sees the same neighbours as on the
+      grid. Both masks' boundary layers L lie within one step of their
+      foreground, so inside the crop, and a crop's signed distance equals
+      the full one on the crop.
     * A site x outside the crop is background in both masks, as is the crop
       site p that x clips to, and |phi(x)| = 1 + |x-p|_1 + d(p, L) in both
       fields (see ``sdf``). So x repeats p's gap, and min and max over the
@@ -310,37 +350,43 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float,
       Every gap is an integer, so the weighted sum is exact, and dividing it
       by the grid size gives the bits of ``diff.mean()`` over the grid.
 
-    Both fields are computed on the crop alone, so the crop's gaps are a
-    function of its shape and bits, wherever it sits on the grid; a disk of
-    integer radius at an integer centre crops to the same array at every
-    centre. Its position enters only through the weights, and the weighted
-    sum splits by axis: along each axis, the sum over the whole axis plus
-    ``start`` times the first index plus ``n - stop`` times the last. So
-    each distinct crop is computed once per call, and keeps only min, max
-    and the 3^ndim sums that take the whole axis, the first or the last
-    index along each axis; a mask's mean contracts those sums with the
-    per-axis vectors ``(1, start, n - stop)``. Every term is an integer
-    below 2^53, so each order of additions gives the same bits as the
-    weighted sum over the crop.
+    A crop's bits depend only on its shapes' radii and their centers
+    relative to the crop, so those integers key the crop: each distinct crop
+    is painted and computed once per call, and a mask that repeats one is
+    never painted. Its position enters only through the weights, and the
+    weighted sum splits by axis: along each axis, the sum over the whole
+    axis plus ``start`` times the first index plus ``n - stop`` times the
+    last. So a distinct crop keeps only min, max and the 3^ndim sums that
+    take the whole axis, the first or the last index along each axis; a
+    mask's mean contracts those sums with the per-axis vectors
+    ``(1, start, n - stop)``. Every term is an integer below 2^53, so each
+    order of additions gives the same bits as the weighted sum over the crop.
+
+    The distinct crops are computed in up to one worker process per CPU
+    this process may use, one for each ``_POOL_SITE_GRAIN`` of their sites.
     """
-    out = np.empty((3, hi - lo))
-    seen = {}  # (crop shape, packed crop bits) -> (edge sums, min gap, max gap)
-    for k, mask in enumerate(_pool_masks(spec, lo, hi)):
-        crop = tuple(slice(max(0, c.start - 2), min(n, c.stop + 2))
-                     for c, n in zip(_box(mask), mask.shape))
-        mask = mask[crop]
-        key = (mask.shape, np.packbits(mask).tobytes())
-        if key not in seen:
-            likely = bayes_mask_one_step(mask, theta1, theta2)
-            diff = signed_distance(likely) - signed_distance(mask)
-            sums = diff
-            for _ in range(diff.ndim):
-                # the last axis becomes a leading axis of 3: its sum, first, last
-                sums = np.stack((sums.sum(axis=-1), sums[..., 0], sums[..., -1]))
-            seen[key] = sums, diff.min(), diff.max()
-        total, low, high = seen[key]
-        for c, n in zip(crop, spec.shape):  # sums out the leading axis
-            total = total[0] + c.start * total[1] + (n - c.stop) * total[2]
+    axes = range(len(spec.shape))
+    index = {}  # a crop's shapes, relative to it -> its place among the distinct crops
+    masks = []  # per mask: its crop's start along each axis, and its crop's place
+    for rng in _mask_rngs(spec):
+        balls = _draw_balls(rng, spec)
+        start = [min(c[a] - r[a] for c, r in balls) - 2 for a in axes]
+        key = tuple((tuple(x - s for x, s in zip(c, start)), r) for c, r in balls)
+        masks.append((start, index.setdefault(key, len(index))))
+    keys = list(index)
+    shapes = [_crop_shape(key) for key in keys]
+    # the workers compute signed distances: import their scipy here, before
+    # the fork, or each worker pays about 0.35 s to import it anew
+    import scipy.ndimage  # noqa: F401
+    sites = sum(map(math.prod, shapes))
+    parts = map_ranges(_crop_gaps, len(keys), sites // _POOL_SITE_GRAIN, 1,
+                       keys, theta1, theta2)
+    crops = [crop for part in parts for crop in part]
+    out = np.empty((3, spec.count))
+    for k, (start, place) in enumerate(masks):
+        total, low, high = crops[place]
+        for s, w, n in zip(start, shapes[place], spec.shape):  # sums out the leading axis
+            total = total[0] + s * total[1] + (n - s - w) * total[2]
         out[:, k] = float(total) / math.prod(spec.shape), low, high
     return out
 
@@ -390,12 +436,7 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
         # the most-likely mask is the mask itself: every gap is exactly 0
         gaps = lo = hi = np.zeros(pool_size)
     else:
-        # the workers compute signed distances: import their scipy here,
-        # before the fork, or each worker pays about 0.35 s to import it anew
-        import scipy.ndimage  # noqa: F401
-        parts = map_ranges(_pool_gaps, pool_size, os.cpu_count() or 1, _POOL_GRAIN,
-                           spec, theta1, theta2)
-        gaps, lo, hi = np.concatenate(parts, axis=1)
+        gaps, lo, hi = _pool_gaps(spec, theta1, theta2)
 
     failures = 0
     error_sum = 0.0

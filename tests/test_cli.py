@@ -99,6 +99,40 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert "usage error" in err
 
 
+SEEDED_COMMANDS = {
+    "synth": ["synth", "--count", "1", "--size", "12x12", "--out", "unused"],
+    "gen-noise": ["gen-noise", "--mask", "unused.gtf", "--preset", "demo", "--out", "unused"],
+    "verify lemma1": ["verify", "lemma1", "--theta1", "0.7", "--theta2", "0.9"],
+    "verify theorem1": ["verify", "theorem1", "--eps0", "1", "--eps1", "20", "--eps", "2",
+                        "--alpha", "0.05", "--image-size", "65536"],
+    "sweep": ["sweep", "--kind", "val_size", "--values", "2", "--out", "unused"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_a_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *SEEDED_COMMANDS[command], "--seed", "-1")
+    assert rc == 1
+    assert out == ""
+    assert err == "usage error: argument --seed: seed must be >= 0, got -1\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+@pytest.mark.parametrize("size", ["10x10", "12x11", "12x12x8"])
+def test_a_synthetic_size_below_12_names_the_flag(tmp_path, capsys, command, size):
+    argv = {"synth": ["synth", "--count", "1"],
+            "sweep": ["sweep", "--kind", "val_size", "--values", "2"]}[command]
+    out_path = tmp_path / "out"
+    rc, out, err = run(capsys, *argv, "--size", size, "--out", str(out_path))
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: --size needs every extent >= 12 to leave room for shapes "
+                   f"with margin, got {size}\n")
+    assert not out_path.exists()
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     from segnoise import cli
 
@@ -632,6 +666,15 @@ def test_verify_theorem1_asks_for_a_square_image_size(capsys):
     assert out == ""
     assert err == ("error: --image-size must be a perfect square, got 1000: "
                    "the CLI verifies square 2-D grids\n")
+
+
+def test_verify_theorem1_names_the_smallest_image_size(capsys):
+    rc, out, err = run(capsys, "verify", "theorem1", "--eps0", "1", "--eps1", "6",
+                       "--eps", "2.5", "--alpha", "0.05", "--image-size", "100")
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: --image-size must be at least 144 (a 12x12 grid) to leave room "
+                   "for shapes with margin, got 100\n")
 
 
 def test_verify_theorem1_rejects_a_theta_out_of_range_in_the_identity_regime(capsys):

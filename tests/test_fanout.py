@@ -175,7 +175,9 @@ os.cpu_count = lambda: 2
 os.sched_getaffinity = lambda pid: {0, 1}
 from segnoise import _fanout
 def nap(lo, hi):
-    print(os.getpid(), flush=True)
+    # one write per line: under PYTHONUNBUFFERED, print writes the pid and
+    # its newline apart, and two workers' lines could interleave
+    os.write(1, f"{os.getpid()}\\n".encode())
     time.sleep(60)
 def pid(x, lo, hi):
     return np.array([os.getpid()], dtype=np.float64)
@@ -247,10 +249,11 @@ print(json.dumps(seen))
 """
 
 SCIPY_FAN_OUTS = {
-    # V = 51 plus 60 held out: a pool of 111 12x12 masks, two workers
-    "_pool_gaps": """harness.verify_validation_bound(
-        ValidationBoundInputs(eps0=0.5, eps1=2.0, eps=1.0, alpha=0.5, image_size=144),
-        n_trials=5, holdout=60, seed=3)""",
+    # V = 100 plus 10 held out: a pool of 110 256^2 ellipse unions, whose
+    # distinct crops hold enough sites for two workers
+    "_crop_gaps": """harness.verify_validation_bound(
+        ValidationBoundInputs(eps0=0.5, eps1=2.0, eps=1.0, alpha=0.5, image_size=65536),
+        n_trials=5, holdout=10, family="ellipse-unions", seed=3)""",
     "_mc_votes": """noise.expected_label_mc(
         centered_disk((9, 9), radius=3),
         MarkovNoiseParams(steps=2, theta1=0.6, theta2=0.7, smooth_sigma=0.8, seed=5),

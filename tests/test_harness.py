@@ -251,19 +251,61 @@ def test_bound_check_is_reproducible():
 
 
 def test_bound_report_does_not_depend_on_the_cpu_count(monkeypatch):
-    # V = ceil(8 ln 576) = 51 plus 60 held out: a pool of 111 tiny masks, enough
-    # for two worker processes
-    from segnoise import _fanout, harness
+    # V = ceil(8 ln 262144) = 100 plus 10 held out: a pool of 110 256^2 ellipse
+    # unions, whose distinct crops hold enough sites for two worker processes
+    from segnoise import _fanout
 
-    inputs = ValidationBoundInputs(eps0=0.5, eps1=2.0, eps=1.0, alpha=0.5, image_size=144)
+    inputs = ValidationBoundInputs(eps0=0.5, eps1=2.0, eps=1.0, alpha=0.5, image_size=65536)
     rows = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(_fanout.os, "cpu_count", lambda: cpus)
-        rep = verify_validation_bound(inputs, n_trials=5, holdout=60, seed=3)
-        assert rep.measurements["pool_size"] == 111
-        assert _fanout.worker_count(cpus, 111, harness._POOL_GRAIN) == cpus
+        with monkeypatch.context() as mp:
+            mp.setattr(_fanout.os, "cpu_count", lambda: cpus)
+            workers = []
+            spy(mp, _fanout, "worker_count", workers)
+            rep = verify_validation_bound(inputs, n_trials=5, holdout=10,
+                                          family="ellipse-unions", seed=3)
+        assert rep.measurements["pool_size"] == 110
+        assert workers == [cpus]
         rows[cpus] = rep.rows()
     assert rows[1] == rows[2]
+
+
+def test_the_worked_example_disk_pool_starts_no_process(monkeypatch):
+    # its 3,156 masks repeat 33 distinct crops, too few sites to repay a fork
+    from segnoise import _fanout
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    inputs = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=65536)
+    rep = verify_validation_bound(inputs, n_trials=5, seed=5)
+    assert rep.measurements["pool_size"] == 3156
+
+
+@pytest.mark.parametrize("family", ["disks", "ellipse-unions"])
+def test_a_pool_crop_is_the_mask_box_grown_by_two_inside_the_grid(monkeypatch, family):
+    # the pool crops each mask from its drawn shapes alone: along each axis
+    # from min(center - r) - 2 to max(center + r) + 2, which must be the
+    # painted mask's box grown by 2, and which the margin keeps on the grid
+    from segnoise import harness
+    from segnoise.sdf import _box
+
+    drawn = []
+    spy(monkeypatch, harness, "_draw_balls", drawn)
+    for shape in ((12, 12), (12, 30), (32, 32), (64, 64), (256, 256),
+                  (12, 12, 12), (24, 24, 24), (40, 24, 32)):
+        at_first = at_last = 0
+        for mask in synth_masks(SynthSpec(count=150, shape=shape, family=family, seed=4)):
+            balls = drawn[-1]
+            crop = [(min(c[a] - r[a] for c, r in balls) - 2,
+                     max(c[a] + r[a] for c, r in balls) + 3) for a in range(len(shape))]
+            assert crop == [(b.start - 2, b.stop + 2) for b in _box(mask)]
+            assert all(0 <= lo and hi <= n for (lo, hi), n in zip(crop, shape))
+            at_first += any(lo == 0 for lo, _ in crop)
+            at_last += any(hi == n for (_, hi), n in zip(crop, shape))
+        assert at_first and at_last, shape  # the crop reaches the grid's edge
 
 
 def _full_grid_gaps(mask, theta1, theta2):
@@ -272,42 +314,35 @@ def _full_grid_gaps(mask, theta1, theta2):
 
 
 @pytest.mark.parametrize("theta1,theta2", [(0.7, 0.9), (0.2, 0.8), (0.5, 0.5)])
-def test_pool_gaps_are_the_full_grid_gaps(monkeypatch, theta1, theta2):
+def test_pool_gaps_are_the_full_grid_gaps(theta1, theta2):
     # the pool works on each shape's box; its mean, min and max must be the
-    # bits of the whole grid's, also where the box is clipped by the grid
+    # bits of the whole grid's
     from segnoise import harness
 
     for spec in (SynthSpec(count=3, shape=(256, 256), seed=8),
                  SynthSpec(count=12, shape=(64, 64), family="ellipse-unions", seed=9),
                  SynthSpec(count=3, shape=(24, 24, 24), seed=10),
-                 SynthSpec(count=40, shape=(64, 64), seed=11)):  # repeated crops
-        got = harness._pool_gaps(spec, theta1, theta2, 0, spec.count)
+                 SynthSpec(count=40, shape=(64, 64), seed=11),  # repeated crops
+                 SynthSpec(count=30, shape=(12, 12), family="ellipse-unions", seed=12)):
+        got = harness._pool_gaps(spec, theta1, theta2)
         want = np.array([_full_grid_gaps(m, theta1, theta2) for m in synth_masks(spec)]).T
         assert got.tobytes() == want.tobytes()
-    # shapes cut by the grid's edge, and a 2x2 block in a corner, whose
-    # erosion keeps only the corner site
-    shape = (40, 30)
-    corner = np.zeros(shape, bool)
-    corner[:2, -2:] = True
-    for mask in (centered_disk(shape, 6) | np.roll(centered_disk(shape, 7), (19, 14), (0, 1)),
-                 corner):
-        monkeypatch.setattr(harness, "_draw_mask", lambda rng, spec: mask)
-        got = harness._pool_gaps(SynthSpec(count=1, shape=shape), theta1, theta2, 0, 1)
-        assert got.tobytes() == np.array([_full_grid_gaps(mask, theta1, theta2)]).T.tobytes()
 
 
 def test_the_pool_computes_each_distinct_crop_once(monkeypatch):
-    # a disk crops to the same array wherever it sits inside the grid: these
-    # six masks crop to three arrays, the last touching the grid's last row,
-    # so that its crop is clipped
+    # a crop is keyed by its shapes' radii and their centers relative to it:
+    # these six draws crop to three arrays, a small disk three times (once
+    # at the grid's first row and column), a large disk twice (once at its
+    # last row) and a union of two ellipses once
     from segnoise import harness
 
     shape = (40, 30)
-    small, large = centered_disk(shape, 4), centered_disk(shape, 6)
-    masks = [small, np.roll(small, (5, -3), (0, 1)), large, np.roll(small, (-9, 7), (0, 1)),
-             np.roll(large, (8, 2), (0, 1)), np.roll(small, (16, 0), (0, 1))]
-    draws = iter(masks)
-    monkeypatch.setattr(harness, "_draw_mask", lambda rng, spec: next(draws))
+    small, large = (4, 4), (6, 6)
+    geometries = [[((19, 14), small)], [((24, 11), small)], [((19, 14), large)],
+                  [((6, 6), small)], [((31, 16), large)],
+                  [((12, 10), (3, 5)), ((16, 14), (4, 3))]]
+    draws = iter(geometries * 2)  # the pool's draws, then synth_masks'
+    monkeypatch.setattr(harness, "_draw_balls", lambda rng, spec: next(draws))
     calls = []
 
     def counted(mask):
@@ -315,9 +350,12 @@ def test_the_pool_computes_each_distinct_crop_once(monkeypatch):
         return signed_distance(mask)
 
     monkeypatch.setattr(harness, "signed_distance", counted)
-    got = harness._pool_gaps(SynthSpec(count=6, shape=shape), 0.7, 0.9, 0, 6)
+    spec = SynthSpec(count=6, shape=shape)
+    got = harness._pool_gaps(spec, 0.7, 0.9)
     assert len(calls) == 6  # the most-likely mask and the mask, per distinct crop
     assert calls[0::2] == calls[1::2]
+    monkeypatch.setattr(harness, "signed_distance", signed_distance)
+    masks = list(synth_masks(spec))  # the same six draws, painted on the grid
     assert got.tobytes() == np.array([_full_grid_gaps(m, 0.7, 0.9) for m in masks]).T.tobytes()
 
 
