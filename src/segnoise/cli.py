@@ -49,14 +49,22 @@ def _size(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed {text!r}, expected an integer")
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+def _int_from(name: str, low: int):
+    """An argparse type: an integer of at least ``low``, called ``name`` in
+    its error messages."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}, expected an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_seed = _int_from("seed", 0)
+_threads = _int_from("threads", 1)
 
 
 def _synth_size(size: tuple[int, ...]) -> tuple[int, ...]:
@@ -477,9 +485,9 @@ def build_parser() -> _Parser:
     v.add_argument("--size", type=_size, default=(64, 64))
     v.add_argument("--radius", type=int, default=None, help="disk fixture radius")
     v.add_argument("--seed", type=_seed, default=0)
-    v.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the Monte Carlo, at most the CPU "
-                        "count (default: the CPU count); the report does not depend on it")
+    v.add_argument("--threads", type=_threads, default=os.cpu_count() or 1,
+                   help="processes for the Monte Carlo, this one among them, at most the "
+                        "CPU count (default: the CPU count); the report does not depend on it")
     v.add_argument("--out", default=None, help="report CSV")
     v.set_defaults(func=_cmd_verify_lemma1)
 

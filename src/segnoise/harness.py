@@ -282,18 +282,19 @@ def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> 
     return sign * eps1 * hit
 
 
-# the fewest crop sites that repay a worker process for the pool's distinct
-# crops; two workers start from twice this many. A crop costs about 0.1 us
-# per site at 256^2 and up to 1 us at 32^2, where each crop's fixed cost
-# dominates, so the break-even falls with the grid. Medians of 7 alternating
-# calls of map_ranges(_crop_gaps, ...) in one process against two, 2 CPUs:
-# 256^2 ellipse unions 59 and 61 ms at 0.62 M sites, 83 and 75 ms at 0.80 M;
-# 32^3 ellipse unions 97 and 100 ms at 0.61 M, 138 and 111 ms at 0.80 M;
-# 256^2 disks 28 and 42 ms at 0.25 M; 64^2 ellipse unions 108 and 105 ms at
-# 0.25 M; 32^2 ellipse unions 36 and 63 ms at 0.05 M, 114 and 104 ms at
-# 0.10 M. This grain forks at no loss, and a small grid forgoes up to a
-# sixth (32^2 ellipse unions at 0.60 M: 566 against 477 ms). Every 256^2
-# disk pool has at most 33 distinct crops, 0.35 M sites, and never forks
+# the fewest crop sites that repay a process for the pool's distinct crops;
+# two processes start from twice this many. A crop costs about 0.1 us per
+# site at 256^2 and up to 1 us at 32^2, where each crop's fixed cost
+# dominates, so the break-even falls with the grid. Medians of alternating
+# calls of _pool_gaps in one process against two (the caller and one forked
+# helper), 2 CPUs, 15 calls each: 256^2 disks 132 and 128 ms at 0.35 M sites
+# (two faster in 4 of 15); 256^2 ellipse unions 50 and 40 ms at 0.52 M, 67
+# and 47 ms at 0.69 M; 32^2 ellipse unions 214 and 179 ms at 0.19 M. Over 9
+# calls: 32^2 ellipse unions 22 and 36 ms at 0.03 M, 111 and 110 ms at 0.10
+# M; 64^2 ellipse unions 81 and 73 ms at 0.19 M; 32^3 ellipse unions 74 and
+# 57 ms at 0.44 M. So this grain forks at no loss, while a small grid
+# forgoes up to a sixth below it. Every 256^2 disk pool has at most 33
+# distinct crops, 0.35 M sites, and never forks
 _POOL_SITE_GRAIN = 400_000
 
 
@@ -362,8 +363,9 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
     ``(1, start, n - stop)``. Every term is an integer below 2^53, so each
     order of additions gives the same bits as the weighted sum over the crop.
 
-    The distinct crops are computed in up to one worker process per CPU
-    this process may use, one for each ``_POOL_SITE_GRAIN`` of their sites.
+    The distinct crops are computed in up to one process per CPU this
+    process may use, this one among them, one for each ``_POOL_SITE_GRAIN``
+    of their sites.
     """
     axes = range(len(spec.shape))
     index = {}  # a crop's shapes, relative to it -> its place among the distinct crops
@@ -375,8 +377,8 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
         masks.append((start, index.setdefault(key, len(index))))
     keys = list(index)
     shapes = [_crop_shape(key) for key in keys]
-    # the workers compute signed distances: import their scipy here, before
-    # the fork, or each worker pays about 0.35 s to import it anew
+    # the helpers compute signed distances: import their scipy here, before
+    # the fork, or each helper pays about 0.35 s to import it anew
     import scipy.ndimage  # noqa: F401
     sites = sum(map(math.prod, shapes))
     parts = map_ranges(_crop_gaps, len(keys), sites // _POOL_SITE_GRAIN, 1,
@@ -409,7 +411,7 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
 
     Per-trial draw order: offset hit coins, offset sign coins, then the
     pool permutation. Pool mask i is drawn from the i-th child seed, as in
-    ``synth_masks``; the pool is built in up to one worker process per CPU
+    ``synth_masks``; the pool is built in up to one process per CPU
     this process may use, and the report is the same for every CPU count.
     In the identity regime the most-likely mask is the mask itself, so every
     gap is exactly 0 and no pool is built.
@@ -502,10 +504,13 @@ def _apply_noise(noise: LabelNoise, mask: np.ndarray, seed: int) -> np.ndarray:
 
 
 # the fewest site-epochs (training sites x epochs) of one fit that repay
-# fitting the clean and noisy arms in two worker processes: a pair of fits
-# took 36 ms in turn and 42 ms forked at 0.8 M, 70 and 62 ms at 1.6 M, and
-# 1.42 and 0.78 s at 39 M
-_FIT_GRAIN = 1_000_000
+# fitting the clean and noisy arms side by side, the clean one in this
+# process and the noisy one in a forked helper: a pair of fits on 8 images
+# of 32^2 took 20 ms in turn and 25 ms side by side at 0.41 M (medians of 9
+# alternating calls, 2 CPUs), 28 and 25 ms at 0.50 M, 34 and 29 ms at 0.60 M,
+# 42 and 32 ms at 0.82 M (of 15), and 12 images of 64^2 took 0.90 and 0.72 s
+# at 39 M (of 9)
+_FIT_GRAIN = 600_000
 
 
 def _fit_arms(cfg: TrainConfig, images: list, label_sets: list, seed: int,
@@ -537,13 +542,14 @@ def run_pipeline(spec: SynthSpec, noise: LabelNoise,
     argument controls the whole experiment.
 
     The clean and noisy fits are independent, so with two or more CPUs they
-    run at the same time in two forked worker processes, unless a fit is too
-    small to repay the fork (``_FIT_GRAIN`` site-epochs); those workers fork
-    nothing more. The noisy model comes back with the digest of its data, so
-    the correction loop's first fit is a no-op. The loop and its refits run
-    in this process, and each refit splits its epochs with a forked helper
-    over both CPUs (``LogisticSegmenter.fit``). The results are the same
-    bits for every CPU count.
+    run at the same time, the clean one in this process and the noisy one
+    in a forked helper, unless a fit is too small to repay the fork
+    (``_FIT_GRAIN`` site-epochs); neither arm's fit forks anything more. The
+    noisy model comes back with the digest of its data, so the correction
+    loop's first fit is a no-op. The loop and its refits run in this
+    process, and each refit splits its epochs with a forked helper over both
+    CPUs (``LogisticSegmenter.fit``). The results are the same bits for
+    every CPU count.
     """
     correction = correction or CorrectionParams()
     train_cfg = train_cfg or TrainConfig()

@@ -143,7 +143,7 @@ def loss_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float,
     the rows.
 
     The products are numpy's own ``einsum`` loops, not BLAS, so the result
-    does not depend on how many threads OpenBLAS runs, and a forked worker
+    does not depend on how many threads OpenBLAS runs, and a forked helper
     spins up none. ``split`` is a fit's ``_Split`` of these same X and y; a
     fit builds it once, with its scratch and perhaps a helper process for
     the second half, and passes it to every epoch. Without it the call

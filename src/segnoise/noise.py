@@ -17,7 +17,7 @@ draw order is part of the contract. Per step, the expansion coin is drawn
 first, then one coin per boundary site in row-major order; flip coins come
 last, one per stable site in row-major order. Monte Carlo sample i draws
 from the i-th child of ``SeedSequence(seed)``, so it is the same no matter
-how many samples are drawn around it, or in which worker process. Building
+how many samples are drawn around it, or in which process. Building
 each child's generator with ``default_rng`` cost more than a one-step walk,
 so the Monte Carlo builds the children's PCG64 states itself, with the same
 bits: the part of SeedSequence's hash that depends only on the seed is
@@ -301,17 +301,19 @@ def _child_rngs(entropy, lo: int, hi: int):
         yield rng
 
 
-# the fewest samples that repay a worker process, for each of the two
-# Monte Carlo paths; a two-worker fan-out adds about 15-25 ms. On a 64^2
-# disk of radius 16 (medians of 7 calls, one process against two, in turn):
-# a one-step walk with theta3 = 0.05 takes 70-90 us a sample and broke even
-# between 400 and 1,000 samples (34 and 42 ms at 400; 73 and 66 ms at 1,000),
-# while the one-step layer tally takes 9-10 us and broke even near 5,000
-# (18 and 28 ms at 2,000; 37 and 41 ms at 4,000; 47 and 45 ms at 5,000; 55
-# and 47 ms at 6,000; 143 and 96 ms at 16,000). So a walk forks from 2,000
-# samples and a tally from 6,000
-_MC_GRAIN = 1000
-_TALLY_GRAIN = 3000
+# the fewest samples that repay a process, for each of the two Monte Carlo
+# paths; two processes start from twice this many. On a 64^2 disk of radius
+# 16, 2 CPUs (medians of 15 alternating calls in one process, one process
+# against two, where the caller computes the first range and one forked
+# helper the second): a one-step walk with theta3 = 0.05 takes 60-70 us a
+# sample and broke even near 400 samples (28 and 28 ms at 400; 48 and 40 ms
+# at 600; 56 and 45 ms at 800; 68 and 54 ms at 1,000), while the one-step
+# layer tally takes 8-10 us and broke even between 2,000 and 3,000 (18 and
+# 18 ms at 2,000 over 9 calls; 25 and 24 ms, then 31 and 24 ms at 3,000; 41
+# and 30 ms at 4,000; 138 and 82 ms at 16,000 over 9). So a walk forks from
+# 800 samples and a tally from 4,000
+_MC_GRAIN = 400
+_TALLY_GRAIN = 2000
 
 
 def _tallies(params: MarkovNoiseParams) -> bool:
@@ -372,22 +374,25 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
 
     Sample i uses the i-th child seed of ``params.seed``, so results do not
     depend on n_samples beyond truncation; at most 2**32 samples. ``threads``
-    asks for worker processes, each given a consecutive range of samples; at
-    most one per CPU this process may use runs (the CPU count, capped by its
-    affinity set), and calls too small to repay a fork run in this process.
-    Integer vote counts make the sum exact, so the field is the same for
-    every ``threads``.
+    asks for that many processes, this one among them, each given a
+    consecutive range of samples: this process computes the first range and
+    a forked helper each other one. At most one process per CPU this process
+    may use works (the CPU count, capped by its affinity set), and calls too
+    small to repay a fork run in this process alone. Integer vote counts
+    make the sum exact, so the field is the same for every ``threads``.
     """
     m = as_mask(mask)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if n_samples > 2**32:  # sample 2**32 would need a second spawn-key word
         raise ValueError(f"n_samples must be <= 2**32, got {n_samples}")
     entropy = np.random.SeedSequence(params.seed).entropy
     state = _walk_state(m)  # every sample starts from the same bands
     if params.smooth_sigma > 0:
         # each sample smooths with scipy: import it before the fork, or each
-        # worker pays about 0.35 s to import it anew
+        # helper pays about 0.35 s to import it anew
         import scipy.ndimage  # noqa: F401
     grain = _TALLY_GRAIN if _tallies(params) else _MC_GRAIN
     parts = map_ranges(_mc_votes, n_samples, threads, grain, m, params, state, entropy)

@@ -6,6 +6,7 @@ from hand-rolled neighbor loops, expectations from closed-form arithmetic.
 ``run_fresh`` runs code in a new interpreter, for what a running test process
 cannot show: what an import loads, what an environment variable read at
 start-up changes, or what outlives a killed process (``start_fresh``).
+``assert_no_child_left`` checks that a fan-out reaped every process it forked.
 
 The last two helpers are fixtures, not oracles: ``boundaries`` and
 ``interior_hole_flips`` build on segnoise's own code, and the tests that use
@@ -183,6 +184,15 @@ def start_fresh(code, **env):
     text pipe."""
     return subprocess.Popen([sys.executable, "-c", code], env=_fresh_env(env),
                             stdout=subprocess.PIPE, text=True)
+
+
+def assert_no_child_left():
+    """This process has no child process, running or waiting to be reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process was left behind")
 
 
 def boundaries(mask):

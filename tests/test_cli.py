@@ -642,6 +642,17 @@ def test_verify_lemma1_refuses_a_fixture_without_boundary(capsys, fixture):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_verify_lemma1_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
+    report = tmp_path / "report.csv"
+    rc, out, err = run(capsys, "verify", "lemma1", "--theta1", "0.7", "--theta2", "0.9",
+                       "--samples", "200", "--threads", threads, "--out", str(report))
+    assert rc == 1
+    assert out == ""
+    assert err == f"usage error: argument --threads: threads must be >= 1, got {threads}\n"
+    assert not report.exists()
+
+
 def test_verify_theorem1_cli(capsys):
     rc, out, _ = run(capsys, "verify", "theorem1", "--eps0", "0.5", "--eps1", "2",
                      "--eps", "1", "--alpha", "0.5", "--image-size", "1024",

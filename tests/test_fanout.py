@@ -1,10 +1,10 @@
-"""The fan-out of index ranges over forked worker processes."""
+"""The fan-out of index ranges over forked helper processes."""
 
-import concurrent.futures
 import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from segnoise import _fanout
 from segnoise._fanout import map_ranges
-from _oracles import run_fresh, start_fresh
+from _oracles import assert_no_child_left, run_fresh, start_fresh
 
 
 def span(tag, lo, hi):
@@ -34,33 +34,34 @@ def cpus(monkeypatch):
     return set_count
 
 
+def no_fork():
+    raise AssertionError("a helper process was forked")
+
+
 def test_uneven_ranges_come_back_in_index_order(cpus):
     cpus(3)
     parts = map_ranges(span, 10, 3, 1, "t")
     assert [p[:3] for p in parts] == [("t", 0, 3), ("t", 3, 6), ("t", 6, 10)]
-    assert os.getpid() not in {p[3] for p in parts}  # each range ran in a worker
-    assert multiprocessing.active_children() == []
+    # range 0 ran in the caller, and every other range in its own helper
+    assert parts[0][3] == os.getpid()
+    assert len({p[3] for p in parts}) == 3
+    assert_no_child_left()
 
 
 def test_one_worker_or_a_small_input_starts_no_process(cpus, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(_fanout.os, "fork", no_fork)
     cpus(4)
     assert map_ranges(span, 10, 1, 1, "t") == [("t", 0, 10, os.getpid())]
     assert map_ranges(span, 10, 4, 6, "t") == [("t", 0, 10, os.getpid())]
     cpus(1)
     assert map_ranges(span, 10, 4, 1, "t") == [("t", 0, 10, os.getpid())]
+    assert_no_child_left()
 
 
 def test_no_worker_is_started_for_a_process_pinned_to_one_cpu(cpus, monkeypatch):
     # taskset -c 0 on a 2-CPU host: two workers would take turns on one CPU
     from segnoise import centered_disk, expected_label_mc, noise
     from segnoise.noise import MarkovNoiseParams
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker process was started")
 
     mask = centered_disk((9, 9), radius=3)
     p = MarkovNoiseParams(steps=1, theta1=0.6, theta2=0.7, seed=4)
@@ -69,39 +70,89 @@ def test_no_worker_is_started_for_a_process_pinned_to_one_cpu(cpus, monkeypatch)
     alone = expected_label_mc(mask, p, n, threads=1)
     cpus(2)
     monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(_fanout.os, "fork", no_fork)
     assert _fanout.worker_count(2, 100, 1) == 1
     assert map_ranges(span, 10, 2, 1, "t") == [("t", 0, 10, os.getpid())]
     assert np.array_equal(expected_label_mc(mask, p, n, threads=2), alone)
+    assert_no_child_left()
 
 
-def test_a_worker_exception_reaches_the_caller(cpus):
+def test_a_worker_exception_reaches_the_caller(cpus, deadline):
     cpus(2)
     with pytest.raises(ValueError, match=r"^range \[3, 7\) refused$"):
         map_ranges(fail_past_zero, 7, 2, 1)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def refuse(refused, lo, hi):
+    """Range ``refused`` raises, range 0 returns, and every other range
+    sleeps past the test's deadline."""
+    if lo == refused:
+        raise KeyError(f"range [{lo}, {hi}) refused")
+    if lo > 0:
+        time.sleep(60)
+    return hi - lo
+
+
+@pytest.mark.parametrize("refused", [0, 1], ids=["in-the-caller", "in-a-helper"])
+def test_an_error_kills_the_other_helpers_without_waiting(cpus, deadline, refused):
+    cpus(3)
+    started = time.monotonic()
+    with pytest.raises(KeyError, match=rf"range \[{refused}, {refused + 1}\) refused"):
+        map_ranges(refuse, 3, 3, 1, refused)
+    assert time.monotonic() - started < 5
+    assert_no_child_left()
+
+
+class Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def raise_unpicklable(lo, hi):
+    if lo > 0:
+        raise Unpicklable("refused")
+    return hi - lo
+
+
+def die_past_zero(lo, hi):
+    if lo > 0:
+        os._exit(3)
+    return hi - lo
+
+
+@pytest.mark.parametrize("fn,message", [
+    (raise_unpicklable, r"could not send back Unpicklable\('refused'\): cannot pickle"),
+    (die_past_zero, r"ended without a result, with exit code 3$"),
+], ids=["unpicklable-exception", "dead"])
+def test_a_helper_that_cannot_answer_names_its_range(cpus, deadline, fn, message):
+    cpus(2)
+    with pytest.raises(RuntimeError,
+                       match=r"^the helper process computing range \[3, 7\) " + message):
+        map_ranges(fn, 7, 2, 1)
+    assert_no_child_left()
 
 
 def inner_count(lo, hi):
-    return _fanout.worker_count(2, 100, 1)
+    return _fanout.worker_count(2, 100, 1), os.getpid()
 
 
 def test_nothing_fans_out_inside_a_worker(cpus):
-    # the forked workers keep the patched count of 2, and still run alone
+    # the caller while it computes range 0, and the forked helper, keep the
+    # patched count of 2 and still run alone; the caller may fork once done
     cpus(2)
     assert _fanout.worker_count(2, 100, 1) == 2
-    assert map_ranges(inner_count, 2, 2, 1) == [1, 1]
+    (caller, caller_pid), (helper, helper_pid) = map_ranges(inner_count, 2, 2, 1)
+    assert (caller, helper) == (1, 1)
+    assert caller_pid == os.getpid() != helper_pid
+    assert _fanout.worker_count(2, 100, 1) == 2
     with multiprocessing.get_context("fork").Pool(1) as pool:  # a caller's own pool
-        assert pool.apply(inner_count, (0, 1)) == 1
+        assert pool.apply(inner_count, (0, 1))[0] == 1
 
 
 def where(x, lo, hi):
     return np.array([lo, hi, x.sum(), os.getpid()], dtype=np.float64)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -124,9 +175,6 @@ def test_halves_split_at_the_middle_with_or_without_a_helper(cpus, deadline, n):
 
 def test_no_helper_is_forked_for_a_process_pinned_to_one_cpu(cpus, monkeypatch):
     # taskset -c 0 on a 2-CPU host: the helper would share the caller's CPU
-    def no_fork():
-        raise AssertionError("a helper process was forked")
-
     cpus(2)
     monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(_fanout.os, "fork", no_fork)
@@ -171,12 +219,12 @@ def test_a_helper_that_dies_makes_the_caller_raise(cpus, deadline):
 KILLED_CALLER = """\
 import os, time
 import numpy as np
-os.cpu_count = lambda: 2
-os.sched_getaffinity = lambda pid: {0, 1}
+os.cpu_count = lambda: 3
+os.sched_getaffinity = lambda pid: {0, 1, 2}
 from segnoise import _fanout
 def nap(lo, hi):
     # one write per line: under PYTHONUNBUFFERED, print writes the pid and
-    # its newline apart, and two workers' lines could interleave
+    # its newline apart, and two processes' lines could interleave
     os.write(1, f"{os.getpid()}\\n".encode())
     time.sleep(60)
 def pid(x, lo, hi):
@@ -185,7 +233,7 @@ def pid(x, lo, hi):
 """
 
 KILLED_FAN_OUTS = {
-    "map_ranges": "_fanout.map_ranges(nap, 2, 2, 1)",
+    "map_ranges": "_fanout.map_ranges(nap, 3, 3, 1)",
     "halves": """with _fanout.halves(pid, 2, 1, 1) as both:
     print(int(both(np.zeros(1))[1][0]), flush=True)
     time.sleep(60)""",
@@ -207,12 +255,15 @@ def test_workers_leave_when_their_caller_is_killed(deadline, fan_out):
     caller = start_fresh(KILLED_CALLER % KILLED_FAN_OUTS[fan_out])
     workers = []
     try:
-        for _ in range(2 if fan_out == "map_ranges" else 1):
+        for _ in range(3 if fan_out == "map_ranges" else 1):
             workers.append(int(caller.stdout.readline()))
+        if fan_out == "map_ranges":  # range 0 runs in the caller, each other in a helper
+            workers.remove(caller.pid)
+            assert len(set(workers)) == 2
         assert caller.pid not in workers
         caller.send_signal(signal.SIGTERM)
         caller.wait()
-        gone_by = time.monotonic() + 3.0  # a map_ranges worker looks every 0.2 s
+        gone_by = time.monotonic() + 3.0  # a map_ranges helper looks every 0.2 s
         while any(map(alive, workers)) and time.monotonic() < gone_by:
             time.sleep(0.02)
         assert not any(map(alive, workers))

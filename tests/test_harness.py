@@ -1,8 +1,7 @@
 """Synthetic data and the verification experiments at desk scale."""
 
-import concurrent.futures
 import hashlib
-import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -34,7 +33,7 @@ from segnoise import (
     write_trial_report,
 )
 
-from _oracles import interior_hole_flips
+from _oracles import assert_no_child_left, interior_hole_flips
 
 
 # ---------------------------------------------------------------- synthesis
@@ -197,6 +196,13 @@ def test_one_step_check_refuses_a_mask_without_boundary():
             verify_bayes_mask(mask, 0.7, 0.9, 0.0, n_samples=300)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_one_step_check_refuses_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+        verify_bayes_mask(centered_disk((12, 12), 4), 0.7, 0.9, 0.0, n_samples=300,
+                          threads=threads)
+
+
 def test_one_step_check_decides_more_sites_with_more_samples():
     mask = centered_disk((24, 24), radius=5)
     small = verify_bayes_mask(mask, 0.7, 0.9, 0.0, n_samples=2000, seed=1)
@@ -270,18 +276,20 @@ def test_bound_report_does_not_depend_on_the_cpu_count(monkeypatch):
     assert rows[1] == rows[2]
 
 
+def no_fork():
+    raise AssertionError("a helper process was forked")
+
+
 def test_the_worked_example_disk_pool_starts_no_process(monkeypatch):
     # its 3,156 masks repeat 33 distinct crops, too few sites to repay a fork
     from segnoise import _fanout
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(_fanout.os, "fork", no_fork)
     inputs = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=65536)
     rep = verify_validation_bound(inputs, n_trials=5, seed=5)
     assert rep.measurements["pool_size"] == 3156
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("family", ["disks", "ellipse-unions"])
@@ -463,9 +471,11 @@ def test_pipeline_does_not_depend_on_the_cpu_count(monkeypatch):
         assert workers == [cpus]
         assert len(res.sc_records) >= 2
         # the loop's first fit is a no-op on the noisy arm's model, also when
-        # that model comes back from a worker; each later round refits here
+        # that model comes back from a helper; each later round refits here,
+        # and with two CPUs the clean arm is fitted here and the noisy one in
+        # the helper
         refits = len(res.sc_records) - 1
-        assert len(calls) == cfg.epochs * (refits + (2 if cpus == 1 else 0))
+        assert len(calls) == cfg.epochs * (refits + (2 if cpus == 1 else 1))
         runs[cpus] = res, [model for part in arms[0] for model in part]
     (one, models_one), (two, models_two) = runs[1], runs[2]
     assert one.metrics == two.metrics
@@ -480,22 +490,51 @@ def test_pipeline_does_not_depend_on_the_cpu_count(monkeypatch):
 def test_a_pipeline_fit_too_small_for_a_fork_starts_no_process(monkeypatch):
     from segnoise import _fanout, harness
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
     noise = MarkovNoiseParams(steps=2, theta1=0.9, theta2=0.6, seed=0)
-    # 8 training images of 32^2: 122 epochs fall short of the grain, 123 reach it
-    for epochs, forked in ((122, False), (123, True)):
+    # 8 training images of 32^2: 73 epochs fall short of the grain, 74 reach it
+    for epochs, forked in ((73, False), (74, True)):
         assert (8 * 32 * 32 * epochs >= harness._FIT_GRAIN) == forked
         with monkeypatch.context() as mp:
             workers = []
             spy(mp, _fanout, "worker_count", workers)
             if not forked:
-                mp.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+                mp.setattr(_fanout.os, "fork", no_fork)
             run_pipeline(tiny_spec(count=14), noise, CorrectionParams(max_iters=1),
                          TrainConfig(epochs=epochs), n_val=2, n_test=4, seed=0)
         assert workers == [2 if forked else 1]
+        assert_no_child_left()
+
+
+def test_a_forked_pipeline_forks_once_for_its_arms_and_once_per_refit(monkeypatch):
+    # every fit may fork an epoch helper (a grain of one row), but neither
+    # the clean arm's fit, here, nor the noisy arm's, in the arm helper, does
+    from segnoise import _fanout
+    from segnoise import model as model_module
+
+    real_fork = _fanout.os.fork
+    read, write = os.pipe()
+
+    def fork():  # one byte per fork, from whichever process forks
+        os.write(write, b"f")
+        return real_fork()
+
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(model_module, "_HALF_GRAIN", 1)
+    monkeypatch.setattr(_fanout.os, "fork", fork)
+    noise = MarkovNoiseParams(steps=8, theta1=0.9, theta2=0.6, seed=0)  # two refits
+    try:
+        res = run_pipeline(tiny_spec(count=14), noise, CorrectionParams(max_iters=3),
+                           TrainConfig(epochs=123), n_val=2, n_test=4, seed=0)
+    finally:
+        os.close(write)
+    forks = os.read(read, 4096)
+    os.close(read)
+    refits = len(res.sc_records) - 1
+    assert refits >= 1
+    assert len(forks) == 1 + refits
+    assert_no_child_left()
 
 
 def test_a_diverging_arm_fit_in_a_worker_reaches_the_caller(monkeypatch):
@@ -510,7 +549,7 @@ def test_a_diverging_arm_fit_in_a_worker_reaches_the_caller(monkeypatch):
         run_pipeline(tiny_spec(count=14), noise, CorrectionParams(), cfg,
                      n_val=2, n_test=4, seed=0)
     assert workers == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_pipeline_custom_noise_hook():

@@ -355,6 +355,12 @@ def test_mc_refuses_sample_indices_beyond_one_spawn_key_word(monkeypatch):
         expected_label_mc(centered_disk((9, 9), radius=2), params(), 2**32 + 1)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_mc_refuses_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+        expected_label_mc(centered_disk((9, 9), radius=2), params(), 100, threads=threads)
+
+
 # sha256 of the float64 field, recorded from the walk that scanned the padded
 # layer at its first step and summed every sample's votes into int64. The
 # one-step counts straddle 255 samples per process, with one process and with
