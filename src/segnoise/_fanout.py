@@ -16,11 +16,17 @@ the number of processes:
   fit sums its rows this way. The halves are the same either way, and the
   caller adds them in the same order, so the sum has the same bits.
 
+How many processes work is decided in two places. Each caller asks for the
+processes its work pays for: its work divided by its grain, the work in
+the caller's unit that one more process repays. ``_processes`` alone then
+applies the machine's limits: at most one process per item and one per CPU
+this process may run on, and one alone where it may not fork. A request
+for N processes counts the caller: N processes work, N - 1 of them forked.
+
 Both stand on one primitive, ``_fork``. The caller computes the first range
 or half itself and forks one helper for each other one, which answers over
 a pipe and leaves through ``os._exit``; the caller reaps every helper on
-every path. So a request for N processes (``threads=N``) counts the
-caller: N processes work, N - 1 of them forked.
+every path.
 
 Nothing fans out inside a fan-out: a forked helper, the caller while it
 computes its own range, and a process that ``multiprocessing`` started (a
@@ -88,17 +94,11 @@ def _cpus() -> int:
     return cpus
 
 
-def worker_count(requested: int, n: int, grain: int) -> int:
-    """Processes that ``map_ranges`` runs for ``n`` items, this one among
-    them: the request capped at ``_cpus()`` and at the number of chunks of
-    ``grain`` items.
-
-    It is one where the platform cannot fork, and one inside a fan-out or
-    inside any process that ``multiprocessing`` started: an arm fit of
-    ``run_pipeline``, and also a worker of the caller's own pool, which
-    already has its CPU.
-    """
-    count = max(1, min(int(requested), _cpus(), n // grain))
+def _processes(requested: int, n: int) -> int:
+    """Processes that work on ``n`` items when the caller asks for
+    ``requested``, this one among them: at least one, at most one per item
+    and one per CPU (``_cpus()``), and one alone unless ``_may_fork()``."""
+    count = max(1, min(int(requested), _cpus(), n))
     return count if count == 1 or _may_fork() else 1
 
 
@@ -122,14 +122,13 @@ def _fork(body) -> int:
     return pid
 
 
-def map_ranges(fn, n: int, requested: int, grain: int, *args) -> list:
+def map_ranges(fn, n: int, processes: int, *args) -> list:
     """``fn(*args, lo, hi)`` over consecutive ranges that cover ``[0, n)``,
     one range per process, results in index order.
 
-    ``worker_count`` processes work: this one computes the first range, and
-    one forked helper each other range. ``grain`` is the fewest items that
-    repay a process; with one process the call is ``[fn(*args, 0, n)]``.
-    ``fn`` must return a value that pickles.
+    ``_processes(processes, n)`` processes work: this one computes the first
+    range, and one forked helper each other range; with one process the
+    call is ``[fn(*args, 0, n)]``. ``fn`` must return a value that pickles.
 
     An exception raised by ``fn`` in a helper is raised here with its type
     and message, or as RuntimeError naming the range if it does not pickle.
@@ -139,7 +138,7 @@ def map_ranges(fn, n: int, requested: int, grain: int, *args) -> list:
     or raises, and each leaves by itself within ``_WATCH_S`` if this process
     dies first, even by a signal that unwinds nothing.
     """
-    workers = worker_count(requested, n, grain)
+    workers = _processes(processes, n)
     if workers == 1:
         return [fn(*args, 0, n)]
     global _inside
@@ -239,24 +238,20 @@ def halves_in_turn(fn, n: int, *args):
 
 
 @contextmanager
-def halves(fn, n: int, grain: int, width: int, *args):
+def halves(fn, n: int, processes: int, width: int, *args):
     """Yield ``both`` of ``halves_in_turn``, with the second half computed
-    by a forked helper process when that pays.
+    by a forked helper process when ``_processes(processes, 2)`` is two.
 
     ``x`` is a float64 vector of ``width`` items and ``fn`` returns a
-    float64 array. The helper is forked on entry when each half holds at
-    least ``grain`` items, ``_may_fork`` allows it, and this process may
-    run on two CPUs (``_cpus()``). On one CPU the helper would only take
-    turns with the caller.
-    ``both(x)`` then sends ``x`` to the helper over a pipe, computes the
-    first half here and reads the second half back; it returns the same
-    bits as without the helper, because the helper runs the same ``fn`` on
-    the same data. The helper leaves when the block ends, however it ends,
-    and is reaped before this returns. If the helper dies, ``both`` raises
-    RuntimeError rather than wait for it.
+    float64 array. The helper is forked on entry; ``both(x)`` then sends
+    ``x`` to it over a pipe, computes the first half here and reads the
+    second half back, the same bits as without the helper, which runs the
+    same ``fn`` on the same data. The helper leaves when the block ends,
+    however it ends, and is reaped before this returns. If the helper dies,
+    ``both`` raises RuntimeError rather than wait for it.
     """
     mid = n // 2
-    if min(_cpus(), n // grain) < 2 or not _may_fork():
+    if _processes(processes, 2) < 2:
         yield halves_in_turn(fn, n, *args)
         return
     requests, to_helper = os.pipe()

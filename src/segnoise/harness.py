@@ -72,10 +72,11 @@ class SynthSpec:
             raise ValueError("extents below 12 leave no room for shapes with margin")
         if self.family not in ("disks", "ellipse-unions"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.contrast <= 0:
-            raise ValueError("contrast must be positive")
-        if self.blur_sigma < 0 or self.noise_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+        if not 0 < self.contrast < math.inf:  # so also not NaN
+            raise ValueError(f"contrast must be finite and positive, got {self.contrast}")
+        for name in ("blur_sigma", "noise_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.holes is not None:
             hc, hr = self.holes
             if hc < 1 or hr < 1:
@@ -282,10 +283,9 @@ def draw_offsets(rng: np.random.Generator, n: int, eps0: float, eps1: float) -> 
     return sign * eps1 * hit
 
 
-# the fewest crop sites that repay a process for the pool's distinct crops;
-# two processes start from twice this many. A crop costs about 0.1 us per
-# site at 256^2 and up to 1 us at 32^2, where each crop's fixed cost
-# dominates, so the break-even falls with the grid. Medians of alternating
+# the sites of the pool's distinct crops that one more process pays for. A
+# crop costs about 0.1 us per site at 256^2 and up to 1 us at 32^2, where
+# each crop's fixed cost dominates, so the break-even falls with the grid. Medians of alternating
 # calls of _pool_gaps in one process against two (the caller and one forked
 # helper), 2 CPUs, 15 calls each: 256^2 disks 132 and 128 ms at 0.35 M sites
 # (two faster in 4 of 15); 256^2 ellipse unions 50 and 40 ms at 0.52 M, 67
@@ -363,9 +363,9 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
     ``(1, start, n - stop)``. Every term is an integer below 2^53, so each
     order of additions gives the same bits as the weighted sum over the crop.
 
-    The distinct crops are computed in up to one process per CPU this
-    process may use, this one among them, one for each ``_POOL_SITE_GRAIN``
-    of their sites.
+    The distinct crops are computed in ``map_ranges``, which is asked for
+    one process, this one among them, per ``_POOL_SITE_GRAIN`` of their
+    sites.
     """
     axes = range(len(spec.shape))
     index = {}  # a crop's shapes, relative to it -> its place among the distinct crops
@@ -381,8 +381,7 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
     # the fork, or each helper pays about 0.35 s to import it anew
     import scipy.ndimage  # noqa: F401
     sites = sum(map(math.prod, shapes))
-    parts = map_ranges(_crop_gaps, len(keys), sites // _POOL_SITE_GRAIN, 1,
-                       keys, theta1, theta2)
+    parts = map_ranges(_crop_gaps, len(keys), sites // _POOL_SITE_GRAIN, keys, theta1, theta2)
     crops = [crop for part in parts for crop in part]
     out = np.empty((3, spec.count))
     for k, (start, place) in enumerate(masks):
@@ -503,13 +502,13 @@ def _apply_noise(noise: LabelNoise, mask: np.ndarray, seed: int) -> np.ndarray:
     return noise(mask, seed)
 
 
-# the fewest site-epochs (training sites x epochs) of one fit that repay
-# fitting the clean and noisy arms side by side, the clean one in this
-# process and the noisy one in a forked helper: a pair of fits on 8 images
-# of 32^2 took 20 ms in turn and 25 ms side by side at 0.41 M (medians of 9
-# alternating calls, 2 CPUs), 28 and 25 ms at 0.50 M, 34 and 29 ms at 0.60 M,
-# 42 and 32 ms at 0.82 M (of 15), and 12 images of 64^2 took 0.90 and 0.72 s
-# at 39 M (of 9)
+# the site-epochs (training sites x epochs) of the two arm fits that one
+# more process pays for: the arms are fitted side by side, the clean one in
+# this process and the noisy one in a forked helper, from this many a fit.
+# A pair of fits on 8 images of 32^2 took 20 ms in turn and 25 ms side by
+# side at 0.41 M (medians of 9 alternating calls, 2 CPUs), 28 and 25 ms at
+# 0.50 M, 34 and 29 ms at 0.60 M, 42 and 32 ms at 0.82 M (of 15), and 12
+# images of 64^2 took 0.90 and 0.72 s at 39 M (of 9)
 _FIT_GRAIN = 600_000
 
 
@@ -541,10 +540,10 @@ def run_pipeline(spec: SynthSpec, noise: LabelNoise,
     All randomness derives from ``seed``; ``spec.seed`` is ignored so one
     argument controls the whole experiment.
 
-    The clean and noisy fits are independent, so with two or more CPUs they
-    run at the same time, the clean one in this process and the noisy one
-    in a forked helper, unless a fit is too small to repay the fork
-    (``_FIT_GRAIN`` site-epochs); neither arm's fit forks anything more. The
+    The clean and noisy fits are independent, so ``map_ranges`` is asked
+    for one process per ``_FIT_GRAIN`` of their site-epochs: with two CPUs
+    and fits of that size each, the clean one runs in this process and the
+    noisy one in a forked helper; neither arm's fit forks anything more. The
     noisy model comes back with the digest of its data, so the correction
     loop's first fit is a no-op. The loop and its refits run in this
     process, and each refit splits its epochs with a forked helper over both
@@ -570,7 +569,7 @@ def run_pipeline(spec: SynthSpec, noise: LabelNoise,
              for m, c in zip(masks[tr], noise_ss.spawn(n_train))]
 
     site_epochs = sum(x.size for x in images[tr]) * train_cfg.epochs
-    parts = map_ranges(_fit_arms, 2, 2 if site_epochs >= _FIT_GRAIN else 1, 1,
+    parts = map_ranges(_fit_arms, 2, 2 * site_epochs // _FIT_GRAIN,
                        train_cfg, images[tr], [masks[tr], noisy], seed)
     clean_model, noisy_model = [model for part in parts for model in part]
     metrics = [{"arm": "clean", "seed": seed,

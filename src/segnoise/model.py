@@ -163,11 +163,12 @@ def loss_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float,
     return loss, sums[2:] / n + l2 * reg
 
 
-# the fewest rows in each half of a fit that repay a helper process for the
-# second half. 800-epoch fits took, in turn and with the helper: 141 and 146 ms
-# at 8,192 rows, 201 and 208 ms at 12,288, 237 and 200 ms at 16,384, 670 and
-# 437 ms at 49,152. Starting and reaping the helper costs about 6 ms, which
-# the threshold repays after about 130 epochs (20 at 49,152 rows)
+# the rows of a fit that one more process pays for: a helper computes the
+# second half from halves of this many. 800-epoch fits took, in turn and
+# with the helper: 141 and 146 ms at 8,192 rows, 201 and 208 ms at 12,288,
+# 237 and 200 ms at 16,384, 670 and 437 ms at 49,152. Starting and reaping
+# the helper costs about 6 ms, which the threshold repays after about 130
+# epochs (20 at 49,152 rows)
 _HALF_GRAIN = 8192
 
 
@@ -190,12 +191,11 @@ class LogisticSegmenter:
         """Train from zero weights for ``cfg.epochs`` full-batch steps.
 
         Each epoch is one ``loss_and_grad`` call in this process, which sums
-        the rows in two fixed halves. When each half has at least
-        ``_HALF_GRAIN`` rows and there is a second CPU, one forked helper
+        the rows in two fixed halves. It asks ``_fanout.halves`` for one
+        process per ``_HALF_GRAIN`` rows: given two, one forked helper
         computes the second half of every epoch while this process computes
-        the first (``_fanout.halves``); the weights and losses are the same
-        bits with or without it. The helper is reaped before ``fit`` returns
-        or raises.
+        the first; the weights and losses are the same bits with or without
+        it. The helper is reaped before ``fit`` returns or raises.
 
         Refitting on the same design matrix and labels as the model's last
         fit is a no-op apart from recording ``seed``: the weights and losses
@@ -225,7 +225,7 @@ class LogisticSegmenter:
             # overflow to inf is the divergence signal itself, not a stray
             # warning; the helper is forked inside, so it inherits the setting
             with (np.errstate(over="ignore", invalid="ignore"),
-                  _fanout.halves(_half_sums, n, _HALF_GRAIN, w.size,
+                  _fanout.halves(_half_sums, n, n // _HALF_GRAIN, w.size,
                                  X, y, np.empty((3, n))) as halves):
                 split = _split(X, y, halves)
                 for _ in range(self.cfg.epochs):

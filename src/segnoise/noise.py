@@ -97,8 +97,8 @@ class MarkovNoiseParams:
         if self.theta3 > 0.1:
             warnings.warn(f"theta3={self.theta3} is unusually high; flips will "
                           "dominate thin structures", stacklevel=2)
-        if self.smooth_sigma < 0:
-            raise ValueError("smooth_sigma must be >= 0")
+        if not 0 <= self.smooth_sigma < np.inf:  # so also not NaN
+            raise ValueError(f"smooth_sigma must be finite and >= 0, got {self.smooth_sigma}")
 
 
 def _p(steps, theta1, theta2, theta3):
@@ -301,12 +301,12 @@ def _child_rngs(entropy, lo: int, hi: int):
         yield rng
 
 
-# the fewest samples that repay a process, for each of the two Monte Carlo
-# paths; two processes start from twice this many. On a 64^2 disk of radius
-# 16, 2 CPUs (medians of 15 alternating calls in one process, one process
-# against two, where the caller computes the first range and one forked
-# helper the second): a one-step walk with theta3 = 0.05 takes 60-70 us a
-# sample and broke even near 400 samples (28 and 28 ms at 400; 48 and 40 ms
+# the samples that one more process pays for, on each of the two Monte
+# Carlo paths. On a 64^2 disk of radius 16, 2 CPUs (medians of 15
+# alternating calls in one process, one process against two, where the
+# caller computes the first range and one forked helper the second): a
+# one-step walk with theta3 = 0.05 takes 60-70 us a sample and broke even
+# near 400 samples (28 and 28 ms at 400; 48 and 40 ms
 # at 600; 56 and 45 ms at 800; 68 and 54 ms at 1,000), while the one-step
 # layer tally takes 8-10 us and broke even between 2,000 and 3,000 (18 and
 # 18 ms at 2,000 over 9 calls; 25 and 24 ms, then 31 and 24 ms at 3,000; 41
@@ -373,13 +373,14 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
     """Per-site foreground frequency over independent noise draws.
 
     Sample i uses the i-th child seed of ``params.seed``, so results do not
-    depend on n_samples beyond truncation; at most 2**32 samples. ``threads``
-    asks for that many processes, this one among them, each given a
-    consecutive range of samples: this process computes the first range and
-    a forked helper each other one. At most one process per CPU this process
-    may use works (the CPU count, capped by its affinity set), and calls too
-    small to repay a fork run in this process alone. Integer vote counts
-    make the sum exact, so the field is the same for every ``threads``.
+    depend on n_samples beyond truncation; at most 2**32 samples. The call
+    asks ``map_ranges`` for ``threads`` processes, this one among them, but
+    for no more than one per ``_MC_GRAIN`` samples of a walk or
+    ``_TALLY_GRAIN`` of a tally, and runs on at most one per CPU this
+    process may use. Each works on a consecutive range of samples: this
+    process computes the first range and a forked helper each other one.
+    Integer vote counts make the sum exact, so the field is the same for
+    every ``threads``.
     """
     m = as_mask(mask)
     if n_samples < 1:
@@ -395,7 +396,8 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
         # helper pays about 0.35 s to import it anew
         import scipy.ndimage  # noqa: F401
     grain = _TALLY_GRAIN if _tallies(params) else _MC_GRAIN
-    parts = map_ranges(_mc_votes, n_samples, threads, grain, m, params, state, entropy)
+    parts = map_ranges(_mc_votes, n_samples, min(threads, n_samples // grain),
+                       m, params, state, entropy)
     return np.sum(parts, axis=0) / float(n_samples)  # integer sum: order-independent
 
 

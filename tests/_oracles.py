@@ -6,7 +6,9 @@ from hand-rolled neighbor loops, expectations from closed-form arithmetic.
 ``run_fresh`` runs code in a new interpreter, for what a running test process
 cannot show: what an import loads, what an environment variable read at
 start-up changes, or what outlives a killed process (``start_fresh``).
-``assert_no_child_left`` checks that a fan-out reaped every process it forked.
+``assert_no_child_left`` checks that a fan-out reaped every process it forked,
+and ``decide_ranges`` and ``decide_halves`` stand in for a fan-out to show
+how many processes it would have run.
 
 The last two helpers are fixtures, not oracles: ``boundaries`` and
 ``interior_hole_flips`` build on segnoise's own code, and the tests that use
@@ -193,6 +195,24 @@ def assert_no_child_left():
     except ChildProcessError:
         return
     raise AssertionError("a child process was left behind")
+
+
+class Decided(Exception):
+    """Raised by a stand-in for a fan-out, with the process count it got."""
+
+
+def decide_ranges(fn, n, processes, *args):
+    """A stand-in for ``map_ranges`` that runs nothing."""
+    from segnoise import _fanout
+
+    raise Decided(_fanout._processes(processes, n))
+
+
+def decide_halves(fn, n, processes, width, *args):
+    """A stand-in for ``halves`` that runs nothing."""
+    from segnoise import _fanout
+
+    raise Decided(_fanout._processes(processes, 2))
 
 
 def boundaries(mask):

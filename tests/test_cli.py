@@ -573,6 +573,46 @@ def test_a_non_finite_step_or_penalty_exits_2_before_reading(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("gen-noise", "--smooth-sigma"), ("sweep", "--smooth-sigma"),
+    ("synth", "--contrast"), ("synth", "--blur-sigma"), ("synth", "--noise-sigma"),
+    ("sweep", "--blur-sigma"), ("sweep", "--noise-sigma"),
+])
+def test_a_non_finite_noise_or_synthesis_parameter_exits_2_before_writing(
+        tmp_path, capsys, command, flag, value):
+    # a NaN sigma used to smooth or blur nothing, and an infinite one to
+    # raise OverflowError with a traceback
+    mask = tmp_path / "mask.pgm"
+    save_mask(centered_disk((16, 16)), mask)
+    out = tmp_path / "out"
+    argv = {
+        "gen-noise": ["gen-noise", "--mask", str(mask), "-T", "3",
+                      "--theta1", "0.5", "--theta2", "0.5"],
+        "synth": ["synth", "--count", "2", "--size", "16x16"],
+        "sweep": ["sweep", "--kind", "noise_level", "--values", "1", "--count", "4",
+                  "--size", "16x16", "--n-val", "1", "--n-test", "1", "--preset", "tiny-se"],
+    }[command]
+    rc, _, err = run(capsys, *argv, f"{flag}={value}", "--out", str(out))
+    name = flag[2:].replace("-", "_")
+    bound = "positive" if name == "contrast" else ">= 0"
+    assert (rc, err) == (2, f"error: {name} must be finite and {bound}, got {value}\n")
+    assert not out.exists()
+
+
+def test_a_config_preset_with_an_infinite_smooth_sigma_exits_2_before_writing(
+        tmp_path, capsys):
+    mask = tmp_path / "mask.pgm"
+    save_mask(centered_disk((16, 16)), mask)
+    cfg = tmp_path / "extra.ini"
+    cfg.write_text("[preset.demo]\nT = 2\ntheta1 = 0.9\ntheta2 = 0.5\nsmooth_sigma = inf\n")
+    out = tmp_path / "n.gtf"
+    rc, _, err = run(capsys, "gen-noise", "--mask", str(mask), "--config", str(cfg),
+                     "--preset", "demo", "--out", str(out))
+    assert (rc, err) == (2, "error: smooth_sigma must be finite and >= 0, got inf\n")
+    assert not out.exists()
+
+
 def test_sc_run_refuses_a_used_external_dir(tmp_path, capsys):
     images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
     ext = tmp_path / "ext"

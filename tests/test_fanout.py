@@ -1,18 +1,21 @@
 """The fan-out of index ranges over forked helper processes."""
 
+import ast
 import json
 import multiprocessing
 import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from segnoise import _fanout
 from segnoise._fanout import map_ranges
-from _oracles import assert_no_child_left, run_fresh, start_fresh
+from _oracles import (Decided, assert_no_child_left, decide_halves, decide_ranges, run_fresh,
+                      start_fresh)
 
 
 def span(tag, lo, hi):
@@ -40,7 +43,7 @@ def no_fork():
 
 def test_uneven_ranges_come_back_in_index_order(cpus):
     cpus(3)
-    parts = map_ranges(span, 10, 3, 1, "t")
+    parts = map_ranges(span, 10, 3, "t")
     assert [p[:3] for p in parts] == [("t", 0, 3), ("t", 3, 6), ("t", 6, 10)]
     # range 0 ran in the caller, and every other range in its own helper
     assert parts[0][3] == os.getpid()
@@ -51,10 +54,10 @@ def test_uneven_ranges_come_back_in_index_order(cpus):
 def test_one_worker_or_a_small_input_starts_no_process(cpus, monkeypatch):
     monkeypatch.setattr(_fanout.os, "fork", no_fork)
     cpus(4)
-    assert map_ranges(span, 10, 1, 1, "t") == [("t", 0, 10, os.getpid())]
-    assert map_ranges(span, 10, 4, 6, "t") == [("t", 0, 10, os.getpid())]
+    assert map_ranges(span, 10, 1, "t") == [("t", 0, 10, os.getpid())]
+    assert map_ranges(span, 1, 4, "t") == [("t", 0, 1, os.getpid())]  # one item
     cpus(1)
-    assert map_ranges(span, 10, 4, 1, "t") == [("t", 0, 10, os.getpid())]
+    assert map_ranges(span, 10, 4, "t") == [("t", 0, 10, os.getpid())]
     assert_no_child_left()
 
 
@@ -71,8 +74,8 @@ def test_no_worker_is_started_for_a_process_pinned_to_one_cpu(cpus, monkeypatch)
     cpus(2)
     monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(_fanout.os, "fork", no_fork)
-    assert _fanout.worker_count(2, 100, 1) == 1
-    assert map_ranges(span, 10, 2, 1, "t") == [("t", 0, 10, os.getpid())]
+    assert _fanout._processes(2, 100) == 1
+    assert map_ranges(span, 10, 2, "t") == [("t", 0, 10, os.getpid())]
     assert np.array_equal(expected_label_mc(mask, p, n, threads=2), alone)
     assert_no_child_left()
 
@@ -80,7 +83,7 @@ def test_no_worker_is_started_for_a_process_pinned_to_one_cpu(cpus, monkeypatch)
 def test_a_worker_exception_reaches_the_caller(cpus, deadline):
     cpus(2)
     with pytest.raises(ValueError, match=r"^range \[3, 7\) refused$"):
-        map_ranges(fail_past_zero, 7, 2, 1)
+        map_ranges(fail_past_zero, 7, 2)
     assert_no_child_left()
 
 
@@ -99,7 +102,7 @@ def test_an_error_kills_the_other_helpers_without_waiting(cpus, deadline, refuse
     cpus(3)
     started = time.monotonic()
     with pytest.raises(KeyError, match=rf"range \[{refused}, {refused + 1}\) refused"):
-        map_ranges(refuse, 3, 3, 1, refused)
+        map_ranges(refuse, 3, 3, refused)
     assert time.monotonic() - started < 5
     assert_no_child_left()
 
@@ -130,23 +133,23 @@ def test_a_helper_that_cannot_answer_names_its_range(cpus, deadline, fn, message
     cpus(2)
     with pytest.raises(RuntimeError,
                        match=r"^the helper process computing range \[3, 7\) " + message):
-        map_ranges(fn, 7, 2, 1)
+        map_ranges(fn, 7, 2)
     assert_no_child_left()
 
 
 def inner_count(lo, hi):
-    return _fanout.worker_count(2, 100, 1), os.getpid()
+    return _fanout._processes(2, 100), os.getpid()
 
 
 def test_nothing_fans_out_inside_a_worker(cpus):
     # the caller while it computes range 0, and the forked helper, keep the
     # patched count of 2 and still run alone; the caller may fork once done
     cpus(2)
-    assert _fanout.worker_count(2, 100, 1) == 2
-    (caller, caller_pid), (helper, helper_pid) = map_ranges(inner_count, 2, 2, 1)
+    assert _fanout._processes(2, 100) == 2
+    (caller, caller_pid), (helper, helper_pid) = map_ranges(inner_count, 2, 2)
     assert (caller, helper) == (1, 1)
     assert caller_pid == os.getpid() != helper_pid
-    assert _fanout.worker_count(2, 100, 1) == 2
+    assert _fanout._processes(2, 100) == 2
     with multiprocessing.get_context("fork").Pool(1) as pool:  # a caller's own pool
         assert pool.apply(inner_count, (0, 1))[0] == 1
 
@@ -159,12 +162,12 @@ def where(x, lo, hi):
 def test_halves_split_at_the_middle_with_or_without_a_helper(cpus, deadline, n):
     x = np.array([1.0, 2.5])
     cpus(1)
-    with _fanout.halves(where, n, 1, 2) as both:
+    with _fanout.halves(where, n, n, 2) as both:
         first, second = both(x)
     assert first.tolist() == [0, n // 2, 3.5, os.getpid()]
     assert second.tolist() == [n // 2, n, 3.5, os.getpid()]
     cpus(2)
-    with _fanout.halves(where, n, 1, 2) as both:
+    with _fanout.halves(where, n, n, 2) as both:
         for _ in range(3):
             first, second = both(x)
             assert first.tolist() == [0, n // 2, 3.5, os.getpid()]
@@ -178,7 +181,7 @@ def test_no_helper_is_forked_for_a_process_pinned_to_one_cpu(cpus, monkeypatch):
     cpus(2)
     monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(_fanout.os, "fork", no_fork)
-    with _fanout.halves(where, 10, 1, 2) as both:
+    with _fanout.halves(where, 10, 2, 2) as both:
         first, second = both(np.array([1.0, 2.5]))
     assert first.tolist() == [0, 5, 3.5, os.getpid()]
     assert second.tolist() == [5, 10, 3.5, os.getpid()]
@@ -187,7 +190,7 @@ def test_no_helper_is_forked_for_a_process_pinned_to_one_cpu(cpus, monkeypatch):
 def test_the_helper_is_reaped_when_the_block_raises(cpus, deadline):
     cpus(2)
     with pytest.raises(KeyError):
-        with _fanout.halves(where, 10, 1, 2) as both:
+        with _fanout.halves(where, 10, 2, 2) as both:
             both(np.zeros(2))
             raise KeyError("mid-descent")
     assert_no_child_left()
@@ -203,11 +206,11 @@ def test_a_helper_that_dies_makes_the_caller_raise(cpus, deadline):
     cpus(2)
     with pytest.raises(RuntimeError, match=r"^the helper process computing rows \[5, 10\) "
                                            r"ended mid-fit with exit code 3$"):
-        with _fanout.halves(die_in_the_helper, 10, 1, 1, os.getpid()) as both:
+        with _fanout.halves(die_in_the_helper, 10, 2, 1, os.getpid()) as both:
             both(np.zeros(1))
     assert_no_child_left()
     with pytest.raises(RuntimeError, match="exit code 3"):  # dead before a write
-        with _fanout.halves(die_in_the_helper, 10, 1, 1, os.getpid()) as both:
+        with _fanout.halves(die_in_the_helper, 10, 2, 1, os.getpid()) as both:
             with pytest.raises(RuntimeError):
                 both(np.zeros(1))
             both(np.zeros(1))
@@ -233,8 +236,8 @@ def pid(x, lo, hi):
 """
 
 KILLED_FAN_OUTS = {
-    "map_ranges": "_fanout.map_ranges(nap, 3, 3, 1)",
-    "halves": """with _fanout.halves(pid, 2, 1, 1) as both:
+    "map_ranges": "_fanout.map_ranges(nap, 3, 3)",
+    "halves": """with _fanout.halves(pid, 2, 2, 1) as both:
     print(int(both(np.zeros(1))[1][0]), flush=True)
     time.sleep(60)""",
 }
@@ -323,3 +326,129 @@ def test_a_fan_out_whose_workers_call_scipy_imports_it_before_forking(fan_out):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == [[fan_out, True]]
+
+
+def mc(mp, samples, theta3):
+    """A one-step Monte Carlo of the ``verify`` workload's 64^2 disk: a walk
+    with flips, or a tally without."""
+    from segnoise import MarkovNoiseParams, centered_disk, expected_label_mc, noise
+
+    mp.setattr(noise, "map_ranges", decide_ranges)
+    p = MarkovNoiseParams(steps=1, theta1=0.7, theta2=0.9, theta3=theta3, seed=11)
+    expected_label_mc(centered_disk((64, 64), radius=16), p, samples, threads=2)
+
+
+def pool(mp, sites):
+    """The pool of two distinct crops, whose shapes are set to hold ``sites``."""
+    from segnoise import SynthSpec, harness
+
+    shapes = iter([(400_000,), (sites - 400_000,)])
+    mp.setattr(harness, "_crop_shape", lambda balls: next(shapes))
+    mp.setattr(harness, "map_ranges", decide_ranges)
+    harness._pool_gaps(SynthSpec(count=2, shape=(32, 32), family="ellipse-unions", seed=1),
+                       0.7, 0.9)
+
+
+def arms(mp, site_epochs):
+    """The arm fits of one training image of one site, for ``site_epochs`` epochs."""
+    from segnoise import SynthSpec, TrainConfig, harness, run_pipeline
+
+    mp.setattr(harness, "synth_dataset", lambda spec: ([np.zeros((1, 1))] * spec.count,
+                                                       [np.zeros((1, 1), bool)] * spec.count))
+    mp.setattr(harness, "map_ranges", decide_ranges)
+    run_pipeline(SynthSpec(count=3, shape=(12, 12)), lambda mask, seed: mask,
+                 train_cfg=TrainConfig(epochs=site_epochs), n_val=1, n_test=1)
+
+
+def fit(mp, rows, images=1):
+    """A fit of ``images`` images of ``rows`` pixels between them."""
+    from segnoise import LogisticSegmenter
+
+    mp.setattr(_fanout, "halves", decide_halves)
+    LogisticSegmenter().fit([np.zeros((1, rows // images))] * images,
+                            [np.zeros((1, rows // images), bool)] * images)
+
+
+def pipeline_arms(mp, _):
+    """The arm fits of the ``pipeline`` workload: 12 training images of 64^2
+    with tiny-se noise, 800 epochs."""
+    from segnoise import (CorrectionParams, SynthSpec, TrainConfig, harness, preset,
+                          run_pipeline)
+
+    mp.setattr(harness, "map_ranges", decide_ranges)
+    run_pipeline(SynthSpec(count=56, shape=(64, 64), blur_sigma=2.0, noise_sigma=0.2),
+                 preset("tiny-se"), CorrectionParams(),
+                 TrainConfig(learning_rate=1.0, epochs=800, l2=0.0), n_val=4, n_test=40)
+
+
+def worked_example_pool(mp, _):
+    """The disk pool of ``verify_validation_bound`` at the worked example,
+    as the ``verify`` workload runs it."""
+    from segnoise import ValidationBoundInputs, harness, verify_validation_bound
+
+    mp.setattr(harness, "map_ranges", decide_ranges)
+    inputs = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=65536)
+    verify_validation_bound(inputs, n_trials=200, holdout=200, seed=5)
+
+
+# Each caller on both sides of where it starts to fork, and at the benchmark
+# workloads' sizes, on 2 CPUs: the caller, its work (samples, crop sites,
+# site-epochs of one arm fit, rows) and the processes it must get. Each
+# forks from two grains of work, the arm fits from one grain a fit.
+FORK_DECISIONS = {
+    "walk-799": (lambda mp, n: mc(mp, n, 0.05), 799, 1),
+    "walk-800": (lambda mp, n: mc(mp, n, 0.05), 800, 2),
+    "tally-3999": (lambda mp, n: mc(mp, n, 0.0), 3_999, 1),
+    "tally-4000": (lambda mp, n: mc(mp, n, 0.0), 4_000, 2),
+    "pool-799999": (pool, 799_999, 1),
+    "pool-800000": (pool, 800_000, 2),
+    "arms-599999": (arms, 599_999, 1),
+    "arms-600000": (arms, 600_000, 2),
+    "fit-16383": (fit, 16_383, 1),
+    "fit-16384": (fit, 16_384, 2),
+    "pipeline-arms": (pipeline_arms, 12 * 64 * 64 * 800, 2),
+    "pipeline-refit": (lambda mp, n: fit(mp, n, images=12), 12 * 64 * 64, 2),
+    "verify-tally": (lambda mp, n: mc(mp, n, 0.0), 16_000, 2),
+    "verify-pool": (worked_example_pool, 3_156, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(FORK_DECISIONS))
+def test_each_caller_asks_for_the_processes_its_work_pays_for(cpus, monkeypatch, case):
+    run, work, expected = FORK_DECISIONS[case]
+    cpus(2)
+    with monkeypatch.context() as mp, pytest.raises(Decided) as decided:
+        run(mp, work)
+    assert decided.value.args == (expected,)
+
+
+# what a module needs to start a process or a thread, or to wait on one
+FORK_MODULES = {"threading", "multiprocessing", "concurrent", "select", "signal"}
+
+
+def fork_uses(path):
+    """Lines of ``path`` that import one of ``FORK_MODULES`` or use ``os.fork``."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "os"):
+            names = [f"os.{node.attr}"]
+        else:
+            continue
+        uses += [f"{path.name}:{node.lineno}: {name}" for name in names
+                 if name.split(".")[0] in FORK_MODULES or name == "os.fork"]
+    return uses
+
+
+def test_only_the_fan_out_module_forks():
+    # so that _fanout._processes stays the one place that decides how many
+    # processes run
+    package = Path(_fanout.__file__).parent
+    assert fork_uses(package / "_fanout.py")  # the check sees what it looks for
+    others = sorted(set(package.glob("*.py")) - {package / "_fanout.py"})
+    assert others
+    assert [use for path in others for use in fork_uses(path)] == []

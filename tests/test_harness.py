@@ -48,6 +48,10 @@ def test_spec_validation():
         SynthSpec(count=0, shape=(32, 32))
     with pytest.raises(ValueError):
         SynthSpec(count=1, shape=(32, 32), holes=(0, 2))
+    for name in ("contrast", "blur_sigma", "noise_sigma"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                SynthSpec(count=1, shape=(32, 32), **{name: value})
 
 
 def test_masks_fit_inside_the_margin():
@@ -267,7 +271,7 @@ def test_bound_report_does_not_depend_on_the_cpu_count(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(_fanout.os, "cpu_count", lambda: cpus)
             workers = []
-            spy(mp, _fanout, "worker_count", workers)
+            spy(mp, _fanout, "_processes", workers)
             rep = verify_validation_bound(inputs, n_trials=5, holdout=10,
                                           family="ellipse-unions", seed=3)
         assert rep.measurements["pool_size"] == 110
@@ -464,17 +468,19 @@ def test_pipeline_does_not_depend_on_the_cpu_count(monkeypatch):
             mp.setattr(_fanout.os, "cpu_count", lambda: cpus)
             arms, workers, calls = [], [], []
             spy(mp, harness, "map_ranges", arms)
-            spy(mp, _fanout, "worker_count", workers)
+            spy(mp, _fanout, "_processes", workers)
             spy(mp, model_module, "loss_and_grad", calls)
             res = run_pipeline(tiny_spec(count=48, seed=3), noise, CorrectionParams(max_iters=3),
                                cfg, n_val=6, n_test=10, seed=3)
-        assert workers == [cpus]
         assert len(res.sc_records) >= 2
         # the loop's first fit is a no-op on the noisy arm's model, also when
         # that model comes back from a helper; each later round refits here,
         # and with two CPUs the clean arm is fitted here and the noisy one in
         # the helper
         refits = len(res.sc_records) - 1
+        # the arms' count, then one per fit of 32,768 rows in this process:
+        # the clean arm's fit, computed inside the fan-out, forks no helper
+        assert workers == ([1] * (3 + refits) if cpus == 1 else [2, 1] + [2] * refits)
         assert len(calls) == cfg.epochs * (refits + (2 if cpus == 1 else 1))
         runs[cpus] = res, [model for part in arms[0] for model in part]
     (one, models_one), (two, models_two) = runs[1], runs[2]
@@ -497,12 +503,15 @@ def test_a_pipeline_fit_too_small_for_a_fork_starts_no_process(monkeypatch):
         assert (8 * 32 * 32 * epochs >= harness._FIT_GRAIN) == forked
         with monkeypatch.context() as mp:
             workers = []
-            spy(mp, _fanout, "worker_count", workers)
+            spy(mp, _fanout, "_processes", workers)
             if not forked:
                 mp.setattr(_fanout.os, "fork", no_fork)
-            run_pipeline(tiny_spec(count=14), noise, CorrectionParams(max_iters=1),
-                         TrainConfig(epochs=epochs), n_val=2, n_test=4, seed=0)
-        assert workers == [2 if forked else 1]
+            res = run_pipeline(tiny_spec(count=14), noise, CorrectionParams(max_iters=1),
+                               TrainConfig(epochs=epochs), n_val=2, n_test=4, seed=0)
+        # the arms' count, then one per fit in this process, each of 8,192
+        # rows: too few for an epoch helper
+        fits_here = (1 if forked else 2) + len(res.sc_records) - 1
+        assert workers == [2 if forked else 1] + [1] * fits_here
         assert_no_child_left()
 
 
@@ -542,13 +551,13 @@ def test_a_diverging_arm_fit_in_a_worker_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 2)
     workers = []
-    spy(monkeypatch, _fanout, "worker_count", workers)
+    spy(monkeypatch, _fanout, "_processes", workers)
     cfg = TrainConfig(learning_rate=1e300, epochs=200)
     noise = MarkovNoiseParams(steps=2, theta1=0.9, theta2=0.6, seed=0)
     with pytest.raises(TrainingDivergedError, match=f"^{re.escape(f'loss diverged under {cfg}')}$"):
         run_pipeline(tiny_spec(count=14), noise, CorrectionParams(), cfg,
                      n_val=2, n_test=4, seed=0)
-    assert workers == [2]
+    assert workers == [2, 1]  # the arms, then the clean arm's fit, which diverges here
     assert_no_child_left()
 
 

@@ -1,6 +1,7 @@
 """Boundary-walk label noise: stepping, sampling, presets, closed forms."""
 
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -26,9 +27,11 @@ from segnoise import (
     synth_masks,
 )
 from _oracles import (
+    Decided,
     boundaries,
     boundary_mean_sigma,
     brute_boundaries,
+    decide_ranges,
     one_step_expectation,
     random_mask,
     reference_walk,
@@ -51,6 +54,10 @@ def test_probabilities_must_be_in_range():
         params(theta2=-0.1)
     with pytest.raises(ValueError):
         params(steps=-1)
+    for sigma in (-0.5, float("nan"), float("inf")):
+        message = f"^smooth_sigma must be finite and >= 0, got {sigma}$"
+        with pytest.raises(ValueError, match=message):
+            params(smooth_sigma=sigma)
 
 
 def test_flip_rate_near_half_is_rejected_and_high_rates_warn():
@@ -320,14 +327,16 @@ def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpu
     from segnoise import _fanout, noise
 
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: cpus)
+    counts = []
+    real = _fanout._processes
+    monkeypatch.setattr(_fanout, "_processes", lambda *a: counts.append(real(*a)) or counts[-1])
     mask = centered_disk((7, 7), radius=2)
     p = params(theta1=0.6, theta2=0.7, theta3=theta3, seed=21)
-    grain = noise._MC_GRAIN if theta3 else noise._TALLY_GRAIN
-    n = 2 * grain
-    assert _fanout.worker_count(2, n, grain) == cpus
+    n = 2 * (noise._MC_GRAIN if theta3 else noise._TALLY_GRAIN)
     children = np.random.SeedSequence(p.seed).spawn(n)
     votes = sum(generate(mask, replace(p, seed=c)).astype(np.int64) for c in children)
     assert np.array_equal(expected_label_mc(mask, p, n, threads=2), votes / n)
+    assert counts == [cpus]
 
 
 # 0xdc2e... is one SeedSequence().entropy, drawn once; 2**160 + 12345 takes 6
@@ -404,37 +413,67 @@ def test_mc_with_dead_coins_equals_the_mask(disk9):
     assert np.array_equal(field, disk9.astype(float))
 
 
-def test_mc_thread_count_does_not_change_the_field():
+def test_mc_thread_count_does_not_change_the_field(monkeypatch):
+    # four CPUs and four grains of walk samples: the caller and three helpers
+    from segnoise import _fanout, noise
+
     mask = centered_disk((17, 17), radius=4)
     p = params(theta1=0.7, theta2=0.5, theta3=0.05, seed=3)
-    one = expected_label_mc(mask, p, n_samples=400, threads=1)
-    four = expected_label_mc(mask, p, n_samples=400, threads=4)
+    n = 4 * noise._MC_GRAIN
+    one = expected_label_mc(mask, p, n_samples=n, threads=1)
+    real_fork = _fanout.os.fork
+    read, write = os.pipe()
+
+    def fork():  # one byte per fork, from whichever process forks
+        os.write(write, b"f")
+        return real_fork()
+
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(_fanout.os, "fork", fork)
+    try:
+        four = expected_label_mc(mask, p, n_samples=n, threads=4)
+    finally:
+        os.close(write)
+    forks = os.read(read, 4096)
+    os.close(read)
+    assert len(forks) == 3
     assert np.array_equal(one, four)
     assert (one >= 0).all() and (one <= 1).all()
 
 
 def test_mc_threads_are_capped_at_the_cpu_count(monkeypatch):
-    # the worker count is decided before any process starts, so none starts here
+    # the process count is decided before any process starts, so none starts here
     import multiprocessing
 
     from segnoise import _fanout, noise
+
+    def mc_processes(threads, n):  # the walk's count, without a sample drawn
+        with monkeypatch.context() as mp:
+            mp.setattr(noise, "map_ranges", decide_ranges)
+            with pytest.raises(Decided) as decided:
+                expected_label_mc(centered_disk((9, 9), radius=2), params(theta3=0.05), n,
+                                  threads=threads)
+        return decided.value.args[0]
 
     grain = noise._MC_GRAIN
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(_fanout.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    assert _fanout.worker_count(10**6, 10**9, grain) == 4
-    assert _fanout.worker_count(3, 10**9, grain) == 3
-    assert _fanout.worker_count(4, 4 * grain, grain) == 4
-    assert _fanout.worker_count(4, 4 * grain - 1, grain) == 3  # one chunk per worker
-    assert _fanout.worker_count(4, 2 * grain - 1, grain) == 1  # too small to repay a fork
-    assert _fanout.worker_count(10**6, 7, grain) == 1
-    assert _fanout.worker_count(0, 10**9, grain) == 1
+    assert _fanout._processes(10**6, 10**9) == 4
+    assert _fanout._processes(3, 10**9) == 3
+    assert mc_processes(4, 4 * grain) == 4
+    assert mc_processes(4, 4 * grain - 1) == 3  # one grain per process
+    assert mc_processes(4, 2 * grain - 1) == 1  # too small to repay a fork
+    assert _fanout._processes(10**6, 3) == 3  # at most one process per item
+    assert mc_processes(10**6, 7) == 1
+    assert _fanout._processes(0, 10**9) == 1
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: None)  # count unknown
-    assert _fanout.worker_count(8, 10**9, grain) == 1
+    assert _fanout._processes(8, 10**9) == 1
     monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert _fanout.worker_count(8, 10**9, grain) == 1  # no fork on this platform
+    assert _fanout._processes(8, 10**9) == 1  # no fork on this platform
 
 
 def test_one_step_means_match_closed_form():
