@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .correct import (CorrectionParams, ValidationBoundInputs, estimate_bias,
-                      logit_correct, required_validation_size, spatial_correction)
+from .correct import (CorrectionParams, ValidationBoundInputs, _rounds, estimate_bias,
+                      logit_correct, required_validation_size, write_report)
 from .formats import load_field, load_gtf, load_mask, save_csv, save_field, save_mask
 from .grid import threshold
 from .harness import (SynthSpec, centered_disk, sweep, synth_dataset,
@@ -287,17 +287,19 @@ def _cmd_sc_run(args) -> int:
     else:
         model = LogisticSegmenter(train_cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = spatial_correction(train_images, train_labels, val_images, val_masks,
-                                model, params, seed=args.seed, train_truth=truth,
-                                report_path=out / "report.csv")
-    corrected = out / "corrected"
-    corrected.mkdir(exist_ok=True)
-    for path, label in zip(label_files, result.labels):
-        save_mask(label, corrected / path.name)
-    if isinstance(model, LogisticSegmenter):
+    records = []  # each finished round rewrites what a failure in a later one leaves
+    for record, labels in _rounds(train_images, train_labels, val_images, val_masks,
+                                  model, params, args.seed, truth):
+        records.append(record)
+        (out / "corrected").mkdir(parents=True, exist_ok=True)
+        write_report(records, out / "report.csv")
+        for path, label in zip(label_files, labels):
+            save_mask(label, out / "corrected" / path.name)
+        if isinstance(model, LogisticSegmenter):
+            (out / "model.json").write_text(model.to_json(), encoding="utf-8")
+    if isinstance(model, LogisticSegmenter):  # also after a refit that went blank
         (out / "model.json").write_text(model.to_json(), encoding="utf-8")
-    last = result.records[-1]
+    last = records[-1]
     print(f"finished after {last.iteration + 1} fits; final delta_hat {last.delta_hat!r}, "
           f"val_dsc {last.val_dsc!r}; report at {out / 'report.csv'}")
     return 0

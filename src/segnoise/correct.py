@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -128,6 +128,8 @@ def lambda_bias(logits, sdf, delta_hat: float) -> float:
 def _check_gamma_and_stop(gamma: float, stop_threshold: float) -> None:
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    if not math.isfinite(stop_threshold):  # NaN fails every comparison
+        raise ValueError(f"stop_threshold must be finite, got {stop_threshold}")
     if stop_threshold < 1.0:
         # a bias below one lattice layer has no band for lambda_bias to read
         raise ValueError(f"stop_threshold must be >= 1, got {stop_threshold}")
@@ -225,8 +227,7 @@ def spatial_correction(train_images: Sequence[np.ndarray],
                        params: CorrectionParams | None = None,
                        *,
                        seed: int = 0,
-                       train_truth: Sequence[np.ndarray] | None = None,
-                       report_path=None) -> SpatialCorrectionResult:
+                       train_truth: Sequence[np.ndarray] | None = None) -> SpatialCorrectionResult:
     """Train on noisy labels, then iteratively unbias them.
 
     Each round fits ``model`` on the current labels, measures the mean SDF
@@ -241,11 +242,19 @@ def spatial_correction(train_images: Sequence[np.ndarray],
 
     ``train_truth`` is only used for reporting. Returns the final model, the
     final labels, and one IterationRecord per fit whose bias was estimated.
-    If a fit or a prediction raises after the first round finished, the
-    records of the finished rounds are written to ``report_path`` before
-    the exception propagates.
     """
-    params = params or CorrectionParams()
+    rounds = list(_rounds(train_images, train_labels, val_images, val_masks,
+                          model, params or CorrectionParams(), seed, train_truth))
+    return SpatialCorrectionResult(model=model, labels=rounds[-1][1],
+                                   records=[record for record, _ in rounds])
+
+
+def _rounds(train_images, train_labels, val_images, val_masks, model: Segmenter,
+            params: CorrectionParams, seed: int,
+            train_truth) -> Iterator[tuple[IterationRecord, list[np.ndarray]]]:
+    """spatial_correction's loop. After each finished round it yields that
+    round's record and the loop's own list of labels: relabelled when the loop
+    goes on to a refit, the ones just fitted when it stops."""
     if len(train_images) != len(train_labels) or not train_images:
         raise ValueError("need equally many training images and labels, at least one")
     if len(val_images) != len(val_masks) or not val_images:
@@ -264,53 +273,43 @@ def spatial_correction(train_images: Sequence[np.ndarray],
         raise ValueError("no usable validation mask (all degenerate)")
 
     labels = [as_mask(l).copy() for l in train_labels]
-    records: list[IterationRecord] = []
     lam_mean = float("nan")
-
-    def labels_dsc() -> float:
-        if train_truth is None:
-            return float("nan")
-        return float(np.mean([dice(l, t) for l, t in zip(labels, train_truth)]))
-
-    try:
+    model.fit(train_images, labels, seed)
+    for iteration in range(params.max_iters + 1):
+        pred_sdfs: list[np.ndarray | None] = []
+        dscs = []
+        for img, vmask, vsdf in zip(val_images, val_masks, val_sdfs):
+            logits, psdf = _predicted_sdf(model, img)
+            pred_sdfs.append(psdf if vsdf is not None else None)
+            dscs.append(dice(threshold(logits, 0.0, mode="ge"), vmask))
+        if iteration > 0 and all(p is None for p in pred_sdfs):
+            log.warning("stopping at round %d: no validation prediction of its refit "
+                        "has a boundary, so no bias can be estimated; keeping the "
+                        "labels and the records so far", iteration)
+            return
+        est = estimate_bias(pred_sdfs, val_sdfs)
+        truth_dsc = (float("nan") if train_truth is None else
+                     float(np.mean([dice(l, t) for l, t in zip(labels, train_truth)])))
+        record = IterationRecord(iteration=iteration, delta_hat=est.delta_hat,
+                                 lambda_mean=lam_mean, train_label_dsc=truth_dsc,
+                                 val_dsc=float(np.mean(dscs)))
+        if abs(est.delta_hat) < params.stop_threshold or iteration == params.max_iters:
+            yield record, labels
+            return
+        lams = []
+        for i, img in enumerate(train_images):
+            logits, psdf = _predicted_sdf(model, img)
+            if psdf is None:
+                log.warning("training prediction %d has no boundary; label kept as is", i)
+                continue
+            lam = lambda_bias(logits, psdf, est.delta_hat)
+            lams.append(lam)
+            corrected = logit_correct(logits, psdf, est.delta_hat, params.gamma,
+                                      lam=lam, stop_threshold=params.stop_threshold)
+            labels[i] = threshold(corrected, 0.0, mode="ge")
+        lam_mean = float(np.mean(lams)) if lams else float("nan")
+        yield record, labels
         model.fit(train_images, labels, seed)
-        for iteration in range(params.max_iters + 1):
-            pred_sdfs: list[np.ndarray | None] = []
-            dscs = []
-            for img, vmask, vsdf in zip(val_images, val_masks, val_sdfs):
-                logits, psdf = _predicted_sdf(model, img)
-                pred_sdfs.append(psdf if vsdf is not None else None)
-                dscs.append(dice(threshold(logits, 0.0, mode="ge"), vmask))
-            if iteration > 0 and all(p is None for p in pred_sdfs):
-                log.warning("stopping at round %d: no validation prediction of its refit "
-                            "has a boundary, so no bias can be estimated; keeping the "
-                            "labels and the records so far", iteration)
-                break
-            est = estimate_bias(pred_sdfs, val_sdfs)
-            records.append(IterationRecord(iteration=iteration, delta_hat=est.delta_hat,
-                                           lambda_mean=lam_mean,
-                                           train_label_dsc=labels_dsc(),
-                                           val_dsc=float(np.mean(dscs))))
-            if abs(est.delta_hat) < params.stop_threshold or iteration == params.max_iters:
-                break
-            lams = []
-            for i, img in enumerate(train_images):
-                logits, psdf = _predicted_sdf(model, img)
-                if psdf is None:
-                    log.warning("training prediction %d has no boundary; label kept as is", i)
-                    continue
-                lam = lambda_bias(logits, psdf, est.delta_hat)
-                lams.append(lam)
-                corrected = logit_correct(logits, psdf, est.delta_hat, params.gamma,
-                                          lam=lam, stop_threshold=params.stop_threshold)
-                labels[i] = threshold(corrected, 0.0, mode="ge")
-            lam_mean = float(np.mean(lams)) if lams else float("nan")
-            model.fit(train_images, labels, seed)
-    finally:
-        # a fit or prediction that raises keeps the rows of the rounds before it
-        if report_path is not None and records:
-            write_report(records, report_path)
-    return SpatialCorrectionResult(model=model, labels=labels, records=records)
 
 
 @dataclass(frozen=True)
@@ -353,8 +352,16 @@ def required_validation_size(inputs: ValidationBoundInputs) -> int:
 
     Evaluates ``ceil(eps1^2 / (2 (eps - eps0)^2) * ln(2 image_size / alpha))``
     (a Hoeffding bound with a union over sites); never negative, and 0 when
-    the log argument reaches 1 or the predictor is exact (eps1 = 0).
+    the log argument reaches 1 or the predictor is exact (eps1 = 0). Where
+    the formula leaves the floating-point range (a term overflows, or
+    underflows into a zero divisor), it raises ValueError naming the inputs.
     """
-    v = (inputs.eps1 ** 2 / (2.0 * (inputs.eps - inputs.eps0) ** 2)
-         * math.log(2.0 * inputs.image_size / inputs.alpha))
-    return max(0, math.ceil(v))
+    try:
+        v = (inputs.eps1 ** 2 / (2.0 * (inputs.eps - inputs.eps0) ** 2)
+             * math.log(2.0 * inputs.image_size / inputs.alpha))
+        return max(0, math.ceil(v))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise ValueError(
+            f"the validation-size bound leaves the floating-point range at eps0={inputs.eps0}, "
+            f"eps1={inputs.eps1}, eps={inputs.eps}, alpha={inputs.alpha}, "
+            f"image_size={inputs.image_size}") from None

@@ -158,13 +158,16 @@ def load_presets(path) -> dict[str, MarkovNoiseParams]:
             if req not in keys:
                 raise ValueError(f"{path}: [{section}] is missing key {req.upper() if req == 't' else req}")
         sec = cp[section]
-        out[name] = MarkovNoiseParams(
-            steps=sec.getint("t"),
-            theta1=sec.getfloat("theta1"),
-            theta2=sec.getfloat("theta2"),
-            theta3=sec.getfloat("theta3", fallback=0.0),
-            smooth_sigma=sec.getfloat("smooth_sigma", fallback=0.0),
-        )
+        try:
+            out[name] = MarkovNoiseParams(
+                steps=sec.getint("t"),
+                theta1=sec.getfloat("theta1"),
+                theta2=sec.getfloat("theta2"),
+                theta3=sec.getfloat("theta3", fallback=0.0),
+                smooth_sigma=sec.getfloat("smooth_sigma", fallback=0.0),
+            )
+        except ValueError as e:  # a value that does not parse, or that the params reject
+            raise ValueError(f"{path}: [{section}]: {e}") from None
     return out
 
 

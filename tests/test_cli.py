@@ -16,13 +16,16 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segnoise import (MarkovNoiseParams, centered_disk, dilate_one, estimate_bias,
-                      generate, sdf_gap, signed_distance)
+from segnoise import (CorrectionParams, LogisticSegmenter, MarkovNoiseParams, TrainConfig,
+                      TrainingDivergedError, centered_disk, dilate_one, estimate_bias,
+                      generate, sdf_gap, signed_distance, spatial_correction, write_report)
 from segnoise.cli import build_parser, main
 from segnoise.formats import load_field, load_mask, save_field, save_mask
 from _oracles import run_fresh
@@ -67,6 +70,16 @@ def test_bound_rejects_slack_below_the_floor(capsys):
                      "--alpha", "0.05", "--image-size", "65536")
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("eps1, eps", [("1e200", "2"), ("20", "1e300")])
+def test_a_bound_out_of_float_range_exits_2_without_a_traceback(capsys, eps1, eps):
+    rc, out, err = run(capsys, "bound", "--eps0", "1", "--eps1", eps1, "--eps", eps,
+                       "--alpha", "0.05", "--image-size", "65536")
+    assert (rc, out) == (2, "")
+    assert err == (f"error: the validation-size bound leaves the floating-point range at "
+                   f"eps0=1.0, eps1={float(eps1)}, eps={float(eps)}, alpha=0.05, "
+                   f"image_size=65536\n")
 
 
 @pytest.mark.parametrize("command", ["bound", "theorem1"])
@@ -474,27 +487,165 @@ def test_sc_run_local_trainer(tmp_path, capsys):
     assert (out / "model.json").exists()
 
 
-def test_sc_run_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys):
+def noisy_run_flags(capsys, root: Path, steps=6) -> list[str]:
+    """sc-run's input flags for 10 training images of 32² whose labels carry
+    ``steps`` steps of growing noise, the clean masks as truth, and 4
+    validation pairs. At ``--max-iters 3 --epochs 60 --seed 4`` the loop runs
+    4 rounds after 6 steps; after 10, its first refit predicts no boundary,
+    which ends the loop after round 0."""
+    images_dir, masks_dir = make_dataset(capsys, root / "train", count=10,
+                                         size="32x32", seed=1)
+    val_images, val_masks = make_dataset(capsys, root / "val", count=4,
+                                         size="32x32", seed=2)
+    labels_dir = root / "labels"
+    labels_dir.mkdir()
+    for path in sorted(masks_dir.iterdir()):
+        rc, _, _ = run(capsys, "gen-noise", "--mask", str(path), "-T", str(steps),
+                       "--theta1", "1", "--theta2", "0.9", "--seed", "11",
+                       "--out", str(labels_dir / path.name))
+        assert rc == 0
+    return ["--train-images", str(images_dir), "--train-labels", str(labels_dir),
+            "--val-images", str(val_images), "--val-masks", str(val_masks),
+            "--truth-dir", str(masks_dir)]
+
+
+@pytest.mark.parametrize("steps, rounds", [(6, 4), (10, 1)])
+def test_sc_run_writes_what_spatial_correction_returns(tmp_path, capsys, steps, rounds):
+    flags = noisy_run_flags(capsys, tmp_path, steps)
+    out = tmp_path / "run"
+    rc, _, _ = run(capsys, "sc-run", *flags, "--max-iters", "3", "--epochs", "60",
+                   "--seed", "4", "--out", str(out))
+    assert rc == 0
+    dirs = dict(zip(flags[0::2], map(Path, flags[1::2])))
+
+    def load(flag, loader):
+        return [loader(p) for p in sorted(dirs[flag].iterdir())]
+    model = LogisticSegmenter(TrainConfig(epochs=60, seed=4))
+    result = spatial_correction(
+        load("--train-images", lambda p: load_field(p).astype(np.float64)),
+        load("--train-labels", load_mask),
+        load("--val-images", lambda p: load_field(p).astype(np.float64)),
+        load("--val-masks", load_mask), model, CorrectionParams(max_iters=3), seed=4,
+        train_truth=load("--truth-dir", load_mask))
+    assert len(result.records) == rounds
+    write_report(result.records, tmp_path / "report.csv")
+    assert (out / "report.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+    names = [p.name for p in sorted(dirs["--train-labels"].iterdir())]
+    assert [p.name for p in sorted((out / "corrected").iterdir())] == names
+    for name, label in zip(names, result.labels):
+        assert np.array_equal(load_mask(out / "corrected" / name), label)
+    assert (out / "model.json").read_text(encoding="utf-8") == model.to_json()
+
+
+@pytest.mark.parametrize("fail_at, error", [(3, TrainingDivergedError), (3, KeyboardInterrupt),
+                                            (1, TrainingDivergedError)])
+def test_sc_run_keeps_the_rounds_before_a_failed_fit(tmp_path, capsys, monkeypatch,
+                                                      fail_at, error):
+    flags = noisy_run_flags(capsys, tmp_path)
+    fit, calls, seen = LogisticSegmenter.fit, [], {}
+
+    def fit_that_fails(self, images, labels, seed=None):
+        calls.append(seed)
+        if len(calls) == fail_at:  # what the rounds before this fit left
+            seen["labels"] = [lbl.copy() for lbl in labels]
+            seen["model"] = self.to_json() if fail_at > 1 else None
+            raise error("loss diverged at epoch 7")
+        return fit(self, images, labels, seed)
+
+    monkeypatch.setattr(LogisticSegmenter, "fit", fit_that_fails)
+    out = tmp_path / "run"
+    argv = ["sc-run", *flags, "--max-iters", "3", "--epochs", "60", "--seed", "4",
+            "--out", str(out)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert run(capsys, *argv)[::2] == (2, "error: loss diverged at epoch 7\n")
+    if fail_at == 1:
+        assert not out.exists()
+        return
+    report = (out / "report.csv").read_text().splitlines()
+    assert report[0] == "iter,delta_hat,lambda_mean,train_label_dsc_vs_truth,val_dsc"
+    assert [row.split(",")[0] for row in report[1:]] == ["0", "1"]
+    corrected = sorted((out / "corrected").iterdir())
+    assert len(corrected) == len(seen["labels"]) == 10
+    for path, label in zip(corrected, seen["labels"]):
+        assert np.array_equal(load_mask(path), label)
+    assert (out / "model.json").read_text(encoding="utf-8") == seen["model"]
+
+
+def answer_round_0(ext: Path, train_masks, val_masks) -> None:
+    """An external trainer that answers round_000 and then goes quiet. Its
+    logits are the negated signed distances of the clean masks dilated twice,
+    so the validation bias is about -2 and the loop goes on to round_001."""
+    rdir = ext / "round_000"
+    for _ in range(1500):
+        if (rdir / "LABELS_DONE").exists():
+            break
+        time.sleep(0.02)
+    else:
+        return
+    (rdir / "logits").mkdir()
+    for split, masks in (("train", train_masks), ("val", val_masks)):
+        for i, m in enumerate(masks):
+            save_field(-signed_distance(dilate_one(dilate_one(m))),
+                       rdir / "logits" / f"{split}_{i:05d}.gtf")
+    (rdir / "DONE").touch()
+
+
+def test_sc_run_keeps_round_0_when_the_external_trainer_goes_quiet(tmp_path, capsys,
+                                                                    deadline):
+    images_dir, masks_dir = make_dataset(capsys, tmp_path / "train", count=3, size="24x24",
+                                         seed=1)
+    val_images, val_masks = make_dataset(capsys, tmp_path / "val", count=2, size="24x24",
+                                         seed=2)
+    ext, out = tmp_path / "ext", tmp_path / "run"
+    trainer = threading.Thread(target=answer_round_0, daemon=True, args=(
+        ext, [load_mask(p) for p in sorted(masks_dir.iterdir())],
+        [load_mask(p) for p in sorted(val_masks.iterdir())]))
+    trainer.start()
+    rc, _, err = run(capsys, "sc-run", "--train-images", str(images_dir),
+                     "--train-labels", str(masks_dir), "--val-images", str(val_images),
+                     "--val-masks", str(val_masks), "--external-dir", str(ext),
+                     "--timeout", "1", "--poll-interval", "0.05", "--out", str(out))
+    trainer.join()
+    assert rc == 2
+    assert err == f"error: no DONE after 1.0s in {ext / 'round_001'}\n"
+    report = (out / "report.csv").read_text().splitlines()
+    assert report[0] == "iter,delta_hat,lambda_mean,train_label_dsc_vs_truth,val_dsc"
+    assert len(report) == 2 and report[1].startswith("0,")
+    # the labels round_001 was given, file for file
+    sent = sorted((ext / "round_001" / "labels").iterdir())
+    kept = sorted((out / "corrected").iterdir())
+    assert len(kept) == len(sent) == 3
+    assert [p.read_bytes() for p in kept] == [p.read_bytes() for p in sent]
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0.5", "nan", "inf"])
+def test_sc_run_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys, value):
     images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
     rc, _, err = run(capsys, "sc-run", "--train-images", str(images_dir),
                      "--train-labels", str(masks_dir), "--val-images", str(images_dir),
-                     "--val-masks", str(masks_dir), "--stop-threshold", "0.5",
+                     "--val-masks", str(masks_dir), f"--stop-threshold={value}",
                      "--out", str(tmp_path / "run"))
     assert rc == 2
     assert err.startswith("error: ") and "stop_threshold" in err
     assert not (tmp_path / "run").exists()  # refused before anything was fitted
 
 
-def test_correct_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["0.5", "nan", "inf"])
+def test_correct_rejects_a_stop_threshold_below_one_layer(tmp_path, capsys, value):
     logits_dir = tmp_path / "logits"
     logits_dir.mkdir()
     save_field(np.where(dilate_one(np.eye(8, dtype=bool)), 1.0, -1.0),
                logits_dir / "a.gtf")
     out_dir = tmp_path / "corrected"
     rc, _, err = run(capsys, "correct", "--logits-dir", str(logits_dir), "--delta", "0.8",
-                     "--stop-threshold", "0.5", "--out-dir", str(out_dir))
+                     f"--stop-threshold={value}", "--out-dir", str(out_dir))
     assert rc == 2
-    assert err == "error: stop_threshold must be >= 1, got 0.5\n"
+    rule = ">= 1" if value == "0.5" else "finite"
+    assert err == f"error: stop_threshold must be {rule}, got {value}\n"
     assert not out_dir.exists()  # refused before anything was written
 
 
@@ -609,7 +760,8 @@ def test_a_config_preset_with_an_infinite_smooth_sigma_exits_2_before_writing(
     out = tmp_path / "n.gtf"
     rc, _, err = run(capsys, "gen-noise", "--mask", str(mask), "--config", str(cfg),
                      "--preset", "demo", "--out", str(out))
-    assert (rc, err) == (2, "error: smooth_sigma must be finite and >= 0, got inf\n")
+    assert (rc, err) == (2, f"error: {cfg}: [preset.demo]: "
+                            "smooth_sigma must be finite and >= 0, got inf\n")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Bias estimation, the two correction routes, the loop, the sample-size bound."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from segnoise import (
     threshold,
     write_report,
 )
-from segnoise.correct import IterationRecord
+from segnoise.correct import IterationRecord, _rounds
 
 
 # ---------------------------------------------------------------- estimate
@@ -163,10 +164,13 @@ def test_gamma_is_validated(disk9):
         logit_correct(-phi, phi, 2.0, gamma=1.5)
 
 
-def test_stop_threshold_below_one_layer_is_rejected():
-    # below one layer a bias passes the stop check that lambda_bias then refuses
-    with pytest.raises(ValueError, match="stop_threshold must be >= 1"):
-        CorrectionParams(stop_threshold=0.5)
+@pytest.mark.parametrize("value", [0.5, math.nan, math.inf])
+def test_stop_threshold_below_one_layer_is_rejected(value):
+    # below one layer a bias passes the stop check that lambda_bias then
+    # refuses; NaN passes every check, and inf stops every loop at its first fit
+    rule = ">= 1" if value == 0.5 else "finite"
+    with pytest.raises(ValueError, match=f"^stop_threshold must be {rule}, got {value}$"):
+        CorrectionParams(stop_threshold=value)
     assert CorrectionParams(stop_threshold=1.0).stop_threshold == 1.0
 
 
@@ -260,7 +264,6 @@ def test_loop_reports_the_stall_of_idealized_logits(tmp_path):
     masks = [centered_disk((15, 15), radius=4), centered_disk((15, 15), radius=3)]
     images = [m.astype(np.float64) * (i + 1.0) for i, m in enumerate(masks)]
     noisy = [dilate_one(m) for m in masks]
-    report = tmp_path / "r.csv"
     result = spatial_correction(
         images,
         noisy,
@@ -269,7 +272,6 @@ def test_loop_reports_the_stall_of_idealized_logits(tmp_path):
         MemorizingStub(),
         CorrectionParams(max_iters=3),
         train_truth=masks,
-        report_path=report,
     )
     assert len(result.records) == 4  # initial fit + 3 capped iterations
     deltas = [r.delta_hat for r in result.records]
@@ -277,6 +279,8 @@ def test_loop_reports_the_stall_of_idealized_logits(tmp_path):
     assert deltas[1] == pytest.approx(deltas[-1])
     for lbl, noisy_lbl in zip(result.labels, noisy):
         assert np.array_equal(lbl, noisy_lbl)
+    report = tmp_path / "r.csv"
+    write_report(result.records, report)
     text = report.read_text().splitlines()
     assert text[0] == "iter,delta_hat,lambda_mean,train_label_dsc_vs_truth,val_dsc"
     assert len(text) == 5
@@ -315,12 +319,10 @@ def test_loop_keeps_its_records_when_a_refit_goes_blank(tmp_path, caplog):
     masks = [centered_disk((15, 15), radius=4), centered_disk((15, 15), radius=3)]
     images = [m.astype(np.float64) * (i + 1.0) for i, m in enumerate(masks)]
     noisy = [dilate_one(m) for m in masks]
-    report = tmp_path / "r.csv"
     model = BlankAfterFits(good=1)
     with caplog.at_level("WARNING", logger="segnoise.correct"):
         result = spatial_correction(images, noisy, images, masks, model,
-                                    CorrectionParams(max_iters=3), train_truth=masks,
-                                    report_path=report)
+                                    CorrectionParams(max_iters=3), train_truth=masks)
     assert model.fits == 2
     assert result.model is model
     assert [r.iteration for r in result.records] == [0]
@@ -328,15 +330,18 @@ def test_loop_keeps_its_records_when_a_refit_goes_blank(tmp_path, caplog):
     for lbl, noisy_lbl in zip(result.labels, noisy):
         assert np.array_equal(lbl, noisy_lbl)
     assert "stopping at round 1: no validation prediction" in caplog.text
+    report = tmp_path / "r.csv"
+    write_report(result.records, report)
     text = report.read_text().splitlines()
     assert text[0] == "iter,delta_hat,lambda_mean,train_label_dsc_vs_truth,val_dsc"
     assert len(text) == 2 and text[1].startswith("0,")
 
-    # a blank initial fit leaves nothing to keep, so it still raises
+    # a blank initial fit leaves nothing to keep, so it still raises, before
+    # the loop hands back any round
+    rounds = _rounds(images, noisy, images, masks, BlankAfterFits(good=0),
+                     CorrectionParams(max_iters=3), 0, None)
     with pytest.raises(ValueError, match="every validation pair was skipped"):
-        spatial_correction(images, noisy, images, masks, BlankAfterFits(good=0),
-                           CorrectionParams(max_iters=3), report_path=tmp_path / "r0.csv")
-    assert not (tmp_path / "r0.csv").exists()
+        next(rounds)
 
 
 class FitFails(MemorizingStub):
@@ -361,12 +366,20 @@ def test_loop_writes_the_finished_rounds_when_a_refit_raises(tmp_path):
     images = [m.astype(np.float64) * (i + 1.0) for i, m in enumerate(masks)]
     noisy = [dilate_one(m) for m in masks]
     whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
-    spatial_correction(images, noisy, images, masks, MemorizingStub(),
-                       CorrectionParams(max_iters=3), train_truth=masks, report_path=whole)
+    result = spatial_correction(images, noisy, images, masks, MemorizingStub(),
+                                CorrectionParams(max_iters=3), train_truth=masks)
+    write_report(result.records, whole)
+    kept = []
     with pytest.raises(TimeoutError):
-        spatial_correction(images, noisy, images, masks, FitFails(fail_at=3),
-                           CorrectionParams(max_iters=3), train_truth=masks, report_path=cut)
+        for record, labels in _rounds(images, noisy, images, masks, FitFails(fail_at=3),
+                                      CorrectionParams(max_iters=3), 0, masks):
+            kept.append((record, [lbl.copy() for lbl in labels]))
+    write_report([record for record, _ in kept], cut)
     assert cut.read_text().splitlines() == whole.read_text().splitlines()[:3]
+    # the stall leaves every label as it was; the last round handed back holds
+    # the labels that the failed refit was given
+    for lbl, noisy_lbl in zip(kept[-1][1], noisy):
+        assert np.array_equal(lbl, noisy_lbl)
 
 
 def test_report_formats_missing_lambda_as_empty(tmp_path):
@@ -414,6 +427,19 @@ def test_bound_monotonicity():
         required_validation_size(ValidationBoundInputs(**{**base, "image_size": 2 * 65536}))
         >= v
     )
+
+
+@pytest.mark.parametrize("eps0, eps1, eps", [
+    (1.0, 1e200, 2.0),     # eps1 ** 2 overflows
+    (1.0, 20.0, 1e300),    # (eps - eps0) ** 2 overflows
+    (0.0, 1e-100, 1e-170),  # (eps - eps0) ** 2 underflows to a zero divisor
+])
+def test_bound_out_of_float_range_names_its_inputs(eps0, eps1, eps):
+    inp = ValidationBoundInputs(eps0=eps0, eps1=eps1, eps=eps, alpha=0.05, image_size=65536)
+    with pytest.raises(ValueError, match=re.escape(
+            f"leaves the floating-point range at eps0={eps0}, eps1={eps1}, eps={eps}, "
+            f"alpha=0.05, image_size=65536")):
+        required_validation_size(inp)
 
 
 def test_bound_rejects_unreachable_accuracy():

@@ -105,6 +105,22 @@ def test_config_rejects_unknown_or_missing_keys(tmp_path):
         load_presets(missing)
 
 
+@pytest.mark.parametrize("line, detail", [
+    ("smooth_sigma = inf", "smooth_sigma must be finite and >= 0, got inf"),
+    ("T = abc", "invalid literal for int() with base 10: 'abc'"),
+    ("theta1 = 1.5", "theta1 must be in [0, 1], got 1.5"),
+], ids=["smooth_sigma", "T", "theta1"])
+def test_config_value_errors_name_the_file_and_section(tmp_path, line, detail):
+    cfg = tmp_path / "extra.ini"
+    values = {"T": "4", "theta1": "0.9", "theta2": "0.25"}
+    key, value = line.split(" = ")
+    values[key] = value
+    cfg.write_text("[preset.demo]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    with pytest.raises(ValueError) as err:
+        load_presets(cfg)
+    assert str(err.value) == f"{cfg}: [preset.demo]: {detail}"
+
+
 # ---------------------------------------------------------------- stepping
 
 
