@@ -288,15 +288,20 @@ def _cmd_sc_run(args) -> int:
         model = LogisticSegmenter(train_cfg)
     out = Path(args.out)
     records = []  # each finished round rewrites what a failure in a later one leaves
-    for record, labels in _rounds(train_images, train_labels, val_images, val_masks,
-                                  model, params, args.seed, truth):
-        records.append(record)
-        (out / "corrected").mkdir(parents=True, exist_ok=True)
-        write_report(records, out / "report.csv")
-        for path, label in zip(label_files, labels):
-            save_mask(label, out / "corrected" / path.name)
-        if isinstance(model, LogisticSegmenter):
-            (out / "model.json").write_text(model.to_json(), encoding="utf-8")
+    try:
+        for record, labels in _rounds(train_images, train_labels, val_images, val_masks,
+                                      model, params, args.seed, truth):
+            (out / "corrected").mkdir(parents=True, exist_ok=True)
+            write_report(records + [record], out / "report.csv")
+            for path, label in zip(label_files, labels):
+                save_mask(label, out / "corrected" / path.name)
+            if isinstance(model, LogisticSegmenter):
+                (out / "model.json").write_text(model.to_json(), encoding="utf-8")
+            records.append(record)
+    # main's data errors, named with the round whose fit or files raised them
+    except (OSError, ValueError, KeyError, TrainingDivergedError) as e:
+        print(f"error: {e} (in round {len(records)})", file=sys.stderr)
+        return 2
     if isinstance(model, LogisticSegmenter):  # also after a refit that went blank
         (out / "model.json").write_text(model.to_json(), encoding="utf-8")
     last = records[-1]

@@ -210,13 +210,15 @@ def write_report(records: Sequence[IterationRecord], path) -> None:
                cell(r.train_label_dsc), cell(r.val_dsc)] for r in records])
 
 
-def _predicted_sdf(model: Segmenter, image: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _predicted_sdf(model: Segmenter, image: np.ndarray) -> tuple:
+    """The model's logits for ``image``, the mask they predict, and that
+    mask's SDF, or None when it has no boundary."""
     logits = model.predict_logits(image)
     mask = threshold(logits, 0.0, mode="ge")
     try:
-        return logits, signed_distance(mask)
+        return logits, mask, signed_distance(mask)
     except DegenerateMaskError:
-        return logits, None
+        return logits, mask, None
 
 
 def spatial_correction(train_images: Sequence[np.ndarray],
@@ -279,9 +281,9 @@ def _rounds(train_images, train_labels, val_images, val_masks, model: Segmenter,
         pred_sdfs: list[np.ndarray | None] = []
         dscs = []
         for img, vmask, vsdf in zip(val_images, val_masks, val_sdfs):
-            logits, psdf = _predicted_sdf(model, img)
+            _, pmask, psdf = _predicted_sdf(model, img)
             pred_sdfs.append(psdf if vsdf is not None else None)
-            dscs.append(dice(threshold(logits, 0.0, mode="ge"), vmask))
+            dscs.append(dice(pmask, vmask))
         if iteration > 0 and all(p is None for p in pred_sdfs):
             log.warning("stopping at round %d: no validation prediction of its refit "
                         "has a boundary, so no bias can be estimated; keeping the "
@@ -298,7 +300,7 @@ def _rounds(train_images, train_labels, val_images, val_masks, model: Segmenter,
             return
         lams = []
         for i, img in enumerate(train_images):
-            logits, psdf = _predicted_sdf(model, img)
+            logits, _, psdf = _predicted_sdf(model, img)
             if psdf is None:
                 log.warning("training prediction %d has no boundary; label kept as is", i)
                 continue
@@ -352,10 +354,13 @@ def required_validation_size(inputs: ValidationBoundInputs) -> int:
 
     Evaluates ``ceil(eps1^2 / (2 (eps - eps0)^2) * ln(2 image_size / alpha))``
     (a Hoeffding bound with a union over sites); never negative, and 0 when
-    the log argument reaches 1 or the predictor is exact (eps1 = 0). Where
-    the formula leaves the floating-point range (a term overflows, or
-    underflows into a zero divisor), it raises ValueError naming the inputs.
+    the log argument reaches 1 or the predictor is exact (eps1 = 0), even
+    where the log alone overflows. Where the formula leaves the
+    floating-point range otherwise (a term overflows, or underflows into a
+    zero divisor), it raises ValueError naming the inputs.
     """
+    if inputs.eps1 == 0:  # 0 * inf would be NaN
+        return 0
     try:
         v = (inputs.eps1 ** 2 / (2.0 * (inputs.eps - inputs.eps0) ** 2)
              * math.log(2.0 * inputs.image_size / inputs.alpha))

@@ -8,6 +8,7 @@ reproduces every byte.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -502,9 +503,9 @@ def _apply_noise(noise: LabelNoise, mask: np.ndarray, seed: int) -> np.ndarray:
     return noise(mask, seed)
 
 
-# the site-epochs (training sites x epochs) of the two arm fits that one
-# more process pays for: the arms are fitted side by side, the clean one in
-# this process and the noisy one in a forked helper, from this many a fit.
+# the site-epochs (training sites x epochs) of the label sets' fits that one
+# more process pays for: the fits run side by side, the first label sets' in
+# this process and the rest in forked helpers, from this many a fit.
 # A pair of fits on 8 images of 32^2 took 20 ms in turn and 25 ms side by
 # side at 0.41 M (medians of 9 alternating calls, 2 CPUs), 28 and 25 ms at
 # 0.50 M, 34 and 29 ms at 0.60 M, 42 and 32 ms at 0.82 M (of 15), and 12
@@ -514,7 +515,8 @@ _FIT_GRAIN = 600_000
 
 def _fit_arms(cfg: TrainConfig, images: list, label_sets: list, seed: int,
               lo: int, hi: int) -> list:
-    """Fresh models fitted on ``label_sets[lo:hi]``, one per label set."""
+    """Fresh models fitted on ``label_sets[lo:hi]``, one per label set: the
+    clean training masks and each distinct noise's labels of ``_pipelines``."""
     return [LogisticSegmenter(cfg).fit(images, label_sets[i], seed) for i in range(lo, hi)]
 
 
@@ -526,65 +528,68 @@ def _mean_test_dsc(model, images, masks) -> float:
 def run_pipeline(spec: SynthSpec, noise: LabelNoise,
                  correction: CorrectionParams | None = None,
                  train_cfg: TrainConfig | None = None, *,
-                 n_val: int, n_test: int, seed: int = 0,
-                 n_val_used: int | None = None) -> PipelineResult:
+                 n_val: int, n_test: int, seed: int = 0) -> PipelineResult:
     """Three-arm comparison on one synthetic dataset.
 
     Splits ``spec.count`` images into train/val/test, corrupts the training
     labels with ``noise`` (a parameter set or any ``(mask, seed) -> mask``
     callable), and reports the test Dice of three identically configured
     models: trained on clean labels (ceiling), on the noisy labels
-    (baseline), and with the correction loop driven by ``n_val_used``
-    (default: all) of the clean validation images.
+    (baseline), and with the correction loop driven by the clean validation
+    images.
 
     All randomness derives from ``seed``; ``spec.seed`` is ignored so one
     argument controls the whole experiment.
 
-    The clean and noisy fits are independent, so ``map_ranges`` is asked
-    for one process per ``_FIT_GRAIN`` of their site-epochs: with two CPUs
-    and fits of that size each, the clean one runs in this process and the
-    noisy one in a forked helper; neither arm's fit forks anything more. The
-    noisy model comes back with the digest of its data, so the correction
-    loop's first fit is a no-op. The loop and its refits run in this
-    process, and each refit splits its epochs with a forked helper over both
-    CPUs (``LogisticSegmenter.fit``). The results are the same bits for
-    every CPU count.
+    This is the one-cell case of ``_pipelines``. With two CPUs the noisy arm
+    is fitted in a forked helper and each refit of the loop splits its epochs
+    with one; the results are the same bits for every CPU count.
     """
-    correction = correction or CorrectionParams()
+    return _pipelines(spec, [(noise, n_val)], correction, train_cfg, n_val, n_test, seed)[0]
+
+
+def _pipelines(spec: SynthSpec, cells: list, correction: CorrectionParams | None,
+               train_cfg: TrainConfig | None, n_val, n_test, seed) -> list[PipelineResult]:
+    """``run_pipeline``'s bits for each cell, a ``(noise, validation images
+    used)`` pair. Every cell is checked before any work. The dataset is drawn
+    and each distinct noise applied once; the clean masks and each noise's
+    labels are fitted once, in one ``map_ranges`` call asked for one process
+    per ``_FIT_GRAIN`` of their site-epochs. Each cell's loop starts from a
+    copy of its noise's model: its first fit is a no-op, and no cell sees
+    another's refits."""
     train_cfg = train_cfg or TrainConfig()
     n_train = spec.count - n_val - n_test
     if n_train < 1 or n_val < 1 or n_test < 1:
         raise ValueError(f"bad split: {n_train} train / {n_val} val / {n_test} test")
-    used = n_val if n_val_used is None else n_val_used
-    if not 1 <= used <= n_val:
-        raise ValueError(f"n_val_used must be in [1, {n_val}], got {used}")
-
+    for _, used in cells:
+        if not 1 <= used <= n_val:
+            raise ValueError(f"val_size values must be in [1, n_val={n_val}], got {used}")
+    if not cells:
+        return []
     data_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     images, masks = synth_dataset(replace(spec, seed=int(data_ss.generate_state(1)[0])))
-    tr = slice(0, n_train)
-    va = slice(n_train, n_train + used)
-    te = slice(spec.count - n_test, spec.count)
-
-    noisy = [_apply_noise(noise, m, int(c.generate_state(1)[0]))
-             for m, c in zip(masks[tr], noise_ss.spawn(n_train))]
-
+    tr, te = slice(0, n_train), slice(spec.count - n_test, spec.count)
+    noise_seeds = [int(c.generate_state(1)[0]) for c in noise_ss.spawn(n_train)]
+    noisy = {noise: [_apply_noise(noise, m, s) for m, s in zip(masks[tr], noise_seeds)]
+             for noise in dict.fromkeys(noise for noise, _ in cells)}
+    label_sets = [masks[tr], *noisy.values()]
     site_epochs = sum(x.size for x in images[tr]) * train_cfg.epochs
-    parts = map_ranges(_fit_arms, 2, 2 * site_epochs // _FIT_GRAIN,
-                       train_cfg, images[tr], [masks[tr], noisy], seed)
-    clean_model, noisy_model = [model for part in parts for model in part]
-    metrics = [{"arm": "clean", "seed": seed,
-                "test_dsc": _mean_test_dsc(clean_model, images[te], masks[te])},
-               {"arm": "noisy", "seed": seed,
-                "test_dsc": _mean_test_dsc(noisy_model, images[te], masks[te])}]
-    # the loop's first fit is the noisy arm's, which noisy_model already holds
-    sc = spatial_correction(images[tr], noisy, images[va], masks[va],
-                            noisy_model, correction, seed=seed,
-                            train_truth=masks[tr])
-    metrics.append({"arm": "sc", "seed": seed,
-                    "test_dsc": _mean_test_dsc(sc.model, images[te], masks[te])})
-    return PipelineResult(metrics=metrics, sc_records=sc.records,
-                          train_masks=list(masks[tr]), noisy_labels=noisy,
-                          corrected_labels=sc.labels)
+    parts = map_ranges(_fit_arms, len(label_sets), len(label_sets) * site_epochs // _FIT_GRAIN,
+                       train_cfg, images[tr], label_sets, seed)
+    models = [model for part in parts for model in part]
+    dscs = [_mean_test_dsc(model, images[te], masks[te]) for model in models]
+    arm = {noise: k for k, noise in enumerate(noisy, 1)}  # its label set, model and Dice
+    results = []
+    for noise, used in cells:
+        va = slice(n_train, n_train + used)
+        sc = spatial_correction(images[tr], noisy[noise], images[va], masks[va],
+                                copy.deepcopy(models[arm[noise]]), correction, seed=seed,
+                                train_truth=masks[tr])
+        metrics = [{"arm": name, "seed": seed, "test_dsc": dsc} for name, dsc in (
+            ("clean", dscs[0]), ("noisy", dscs[arm[noise]]),
+            ("sc", _mean_test_dsc(sc.model, images[te], masks[te])))]
+        results.append(PipelineResult(metrics, sc.records, list(masks[tr]), noisy[noise], sc.labels))
+    return results
 
 
 def sweep(kind: str, values: Sequence[int], spec: SynthSpec, noise: MarkovNoiseParams,
@@ -593,24 +598,19 @@ def sweep(kind: str, values: Sequence[int], spec: SynthSpec, noise: MarkovNoiseP
           n_val: int, n_test: int, seed: int = 0, csv_path=None) -> list[dict]:
     """Run the pipeline along one axis; one output row per setting per arm.
 
-    ``kind="noise_level"`` varies the step count T, ``kind="val_size"``
-    varies how many validation images the correction loop may use. Every
-    cell reuses the same seed so the underlying data is held fixed.
+    ``kind="noise_level"`` varies the step count T, ``kind="val_size"`` how
+    many of the ``n_val`` validation images the correction loop uses. The
+    cells share one seed, so one ``_pipelines`` call runs them all, each
+    value checked before any fit; each row has its ``run_pipeline``'s bits.
     """
     if kind not in ("noise_level", "val_size"):
         raise ValueError(f"kind must be 'noise_level' or 'val_size', got {kind!r}")
-    rows: list[dict] = []
-    for value in values:
-        v = int(value)
-        if kind == "noise_level":
-            res = run_pipeline(spec, replace(noise, steps=v), correction, train_cfg,
-                               n_val=n_val, n_test=n_test, seed=seed)
-        else:
-            res = run_pipeline(spec, noise, correction, train_cfg,
-                               n_val=n_val, n_test=n_test, seed=seed, n_val_used=v)
-        for m in res.metrics:
-            rows.append({"kind": kind, "value": v, "arm": m["arm"],
-                         "seed": seed, "test_dsc": m["test_dsc"]})
+    values = [int(v) for v in values]
+    cells = [(replace(noise, steps=v), n_val) if kind == "noise_level" else (noise, v)
+             for v in values]
+    results = _pipelines(spec, cells, correction, train_cfg, n_val, n_test, seed)
+    rows = [{"kind": kind, "value": v, "arm": m["arm"], "seed": seed, "test_dsc": m["test_dsc"]}
+            for v, res in zip(values, results) for m in res.metrics]
     if csv_path is not None:
         save_csv(csv_path, ["kind", "value", "arm", "seed", "test_dsc"],
                  [[r["kind"], r["value"], r["arm"], r["seed"], repr(r["test_dsc"])]

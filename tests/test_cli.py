@@ -537,7 +537,10 @@ def test_sc_run_writes_what_spatial_correction_returns(tmp_path, capsys, steps, 
     assert (out / "model.json").read_text(encoding="utf-8") == model.to_json()
 
 
-@pytest.mark.parametrize("fail_at, error", [(3, TrainingDivergedError), (3, KeyboardInterrupt),
+# a local fit's error names no round by itself, so sc-run names it: the
+# third fit is round 2's
+@pytest.mark.parametrize("fail_at, error", [(3, TrainingDivergedError), (3, TimeoutError),
+                                            (3, ValueError), (3, KeyboardInterrupt),
                                             (1, TrainingDivergedError)])
 def test_sc_run_keeps_the_rounds_before_a_failed_fit(tmp_path, capsys, monkeypatch,
                                                       fail_at, error):
@@ -560,7 +563,8 @@ def test_sc_run_keeps_the_rounds_before_a_failed_fit(tmp_path, capsys, monkeypat
         with pytest.raises(KeyboardInterrupt):
             main(argv)
     else:
-        assert run(capsys, *argv)[::2] == (2, "error: loss diverged at epoch 7\n")
+        assert run(capsys, *argv)[::2] == (
+            2, f"error: loss diverged at epoch 7 (in round {fail_at - 1})\n")
     if fail_at == 1:
         assert not out.exists()
         return
@@ -610,7 +614,7 @@ def test_sc_run_keeps_round_0_when_the_external_trainer_goes_quiet(tmp_path, cap
                      "--timeout", "1", "--poll-interval", "0.05", "--out", str(out))
     trainer.join()
     assert rc == 2
-    assert err == f"error: no DONE after 1.0s in {ext / 'round_001'}\n"
+    assert err == f"error: no DONE after 1.0s in {ext / 'round_001'} (in round 1)\n"
     report = (out / "report.csv").read_text().splitlines()
     assert report[0] == "iter,delta_hat,lambda_mean,train_label_dsc_vs_truth,val_dsc"
     assert len(report) == 2 and report[1].startswith("0,")
@@ -908,6 +912,23 @@ def test_sweep_cli_writes_the_grid(tmp_path, capsys):
     assert lines[0] == "kind,value,arm,seed,test_dsc"
     assert len(lines) == 7
     assert {line.split(",")[1] for line in lines[1:]} == {"2", "4"}
+
+
+@pytest.mark.parametrize("values, bad", [("2,99", 99), ("0,2", 0)])
+def test_sweep_checks_every_value_before_the_first_fit(tmp_path, capsys, monkeypatch,
+                                                       values, bad):
+    def fit(self, images, labels, seed=None):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(LogisticSegmenter, "fit", fit)
+    out = tmp_path / "sweep.csv"
+    rc, text, err = run(capsys, "sweep", "--kind", "val_size", "--values", values,
+                        "--count", "16", "--size", "24x24", "-T", "2", "--theta1", "0.8",
+                        "--theta2", "0.6", "--epochs", "60", "--n-val", "4", "--n-test", "4",
+                        "--out", str(out))
+    assert (rc, text) == (2, "")
+    assert err == f"error: val_size values must be in [1, n_val=4], got {bad}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- entry points

@@ -409,6 +409,13 @@ def test_bound_log_argument_one_gives_zero():
     assert required_validation_size(inp) == 0
 
 
+@pytest.mark.parametrize("alpha", [0.05, 1e-320])
+def test_bound_of_an_exact_predictor_is_zero(alpha):
+    # at alpha 1e-320 the log is inf, and 0 * inf would be NaN
+    inp = ValidationBoundInputs(eps0=0.0, eps1=0.0, eps=1.0, alpha=alpha, image_size=65536)
+    assert required_validation_size(inp) == 0
+
+
 def test_bound_quarter_rule():
     a = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=65536)
     b = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=3.0, alpha=0.05, image_size=65536)

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -447,8 +448,8 @@ def spy(monkeypatch, module, name, results):
     """Replace ``module.name`` by a wrapper that appends each result to ``results``."""
     real = getattr(module, name)
 
-    def wrapper(*args):
-        results.append(real(*args))
+    def wrapper(*args, **kwargs):
+        results.append(real(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(module, name, wrapper)
@@ -642,6 +643,61 @@ def test_sweep_val_size_uses_the_requested_budget():
     )
     assert len(rows) == 6
     assert {r["value"] for r in rows} == {1, 2}
+
+
+# refits in several cells: the first bias estimate clears one lattice layer
+SWEEP_NOISE = MarkovNoiseParams(steps=8, theta1=0.9, theta2=0.6, theta3=0.02, seed=0)
+
+
+@pytest.mark.parametrize("kind, values, label_sets", [
+    ("noise_level", [2, 4, 6, 8], 5), ("val_size", [1, 6], 2)])
+def test_a_sweep_draws_its_data_once_and_fits_each_label_set_once(monkeypatch, kind, values,
+                                                                   label_sets):
+    # one process, so every fit runs here: the clean masks and each distinct
+    # noise's labels once, then each cell's refits. Each cell's loop starts
+    # from a copy of its noise's model, so its first fit is a no-op
+    from segnoise import _fanout, harness
+    from segnoise import model as model_module
+
+    monkeypatch.setattr(_fanout.os, "cpu_count", lambda: 1)
+    draws, fits, loops, calls = [], [], [], []
+    spy(monkeypatch, harness, "synth_dataset", draws)
+    spy(monkeypatch, harness, "_fit_arms", fits)
+    spy(monkeypatch, model_module, "loss_and_grad", calls)
+    spy(monkeypatch, harness, "spatial_correction", loops)
+    cfg = TrainConfig(epochs=120)
+    rows = sweep(kind, values, tiny_spec(count=48, seed=3), SWEEP_NOISE,
+                 CorrectionParams(max_iters=3), cfg, n_val=6, n_test=10, seed=3)
+    assert len(rows) == 3 * len(values)
+    assert len(draws) == 1
+    assert [len(models) for models in fits] == [label_sets]
+    refits = sum(len(loop.records) - 1 for loop in loops)
+    assert len(loops) == len(values) and refits >= 1
+    assert len(calls) == cfg.epochs * (label_sets + refits)
+
+
+def test_each_sweep_row_matches_its_own_pipeline():
+    spec, params, cfg = tiny_spec(count=48, seed=3), CorrectionParams(max_iters=3), \
+        TrainConfig(epochs=120)
+
+    def arms(rows, value):
+        return [(r["arm"], r["test_dsc"]) for r in rows if r["value"] == value]
+
+    def pipeline(noise):
+        res = run_pipeline(spec, noise, params, cfg, n_val=6, n_test=10, seed=3)
+        return res, [(m["arm"], m["test_dsc"]) for m in res.metrics]
+
+    full, full_arms = pipeline(SWEEP_NOISE)
+    assert len(full.sc_records) >= 2  # its loop refits, so its sc arm is its own
+    # a repeated value shares its label set and its fit, and still gets its rows
+    rows = sweep("noise_level", [8, 4, 8], spec, SWEEP_NOISE, params, cfg,
+                 n_val=6, n_test=10, seed=3)
+    assert [r["value"] for r in rows] == [8] * 3 + [4] * 3 + [8] * 3
+    assert arms(rows, 8) == 2 * full_arms
+    assert arms(rows, 4) == pipeline(replace(SWEEP_NOISE, steps=4))[1]
+    rows = sweep("val_size", [2, 6], spec, SWEEP_NOISE, params, cfg, n_val=6, n_test=10,
+                 seed=3)
+    assert arms(rows, 6) == full_arms
 
 
 def test_sweep_rejects_unknown_kind():
