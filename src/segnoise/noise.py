@@ -21,9 +21,10 @@ how many samples are drawn around it, or in which process. Building
 each child's generator with ``default_rng`` cost more than a one-step walk,
 so the Monte Carlo builds the children's PCG64 states itself, with the same
 bits: the part of SeedSequence's hash that depends only on the seed is
-computed once per call, the part that depends on the child's index runs for
-255 samples at once in numpy, and one generator is set to each state in
-turn.
+computed once per call, the part that depends on the child's index, and
+PCG's seeding arithmetic after it, run for up to 1,020 children at once in
+numpy, and one generator takes each state in turn, its four words written
+straight into its state struct.
 
 A step can change only its own boundary layer, so the walk keeps both layers
 and after each step recomputes membership only at the flipped sites and
@@ -44,8 +45,11 @@ draw order above.
 from __future__ import annotations
 
 import configparser
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -239,8 +243,14 @@ def generate(mask, params: MarkovNoiseParams) -> np.ndarray:
 
 
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
+_M64 = (1 << 64) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = _PCG64_MULT >> 64, _PCG64_MULT & _M64
+# a PCG64 state whose four words and uinteger are six distinct values
+_PROBE = {"bit_generator": "PCG64",
+          "state": {"state": 0x0123456789ABCDEF_FEDCBA9876543210,
+                    "inc": 0x0F1E2D3C4B5A6978_8796A5B4C3D2E1F1},
+          "has_uint32": 1, "uinteger": 0x9E3779B9}
 
 
 def _words(entropy) -> list[int]:
@@ -252,19 +262,99 @@ def _words(entropy) -> list[int]:
     return [w for e in entropy for w in _words(e)]
 
 
-def _child_rngs(entropy, lo: int, hi: int):
-    """One generator, set in turn to the state of
-    ``default_rng(SeedSequence(entropy, spawn_key=(i,)))`` for i in lo..hi-1
-    (hi <= 2**32, so that i is one word), and yielded after each.
+def _layout_error(what: str) -> RuntimeError:
+    return RuntimeError(f"numpy {np.__version__}: PCG64 does not keep its {what} where "
+                        "segnoise looks for it, so child generators cannot be seeded")
+
+
+def _in_object(bit_generator, address: int, ctype):
+    """A ``ctype`` over the memory at ``address``, which must lie wholly
+    inside ``bit_generator``'s own object; RuntimeError otherwise."""
+    start = id(bit_generator)  # in CPython, the object's address
+    if not start <= address <= start + type(bit_generator).__basicsize__ - ctypes.sizeof(ctype):
+        raise _layout_error("state")
+    return ctype.from_address(address)
+
+
+def _find(values, value, what: str) -> int:
+    """The one index of ``value`` in ``values``; RuntimeError unless it occurs once."""
+    values = list(values)
+    if values.count(value) != 1:
+        raise _layout_error(what)
+    return values.index(value)
+
+
+@functools.cache
+def _pcg64_layout() -> tuple[int, int, int, list[int]]:
+    """Where a PCG64 keeps its state, learned once per process from the
+    public setter.
+
+    The struct at ``ctypes.state_address`` holds a pointer to the four
+    64-bit state words, then ``has_uint32`` and ``uinteger``. Returns the
+    pointer's 8-byte slot in that struct, the 4-byte slots of ``has_uint32``
+    and ``uinteger``, and the word slots of the state's high and low words
+    and then the increment's. A probe is set to ``_PROBE``, and each value
+    must be found exactly once, in the probe's own memory; ``has_uint32`` is
+    the slot that setting it from 0 to 1 changes. Anything else raises
+    RuntimeError naming numpy's version, before any child is seeded.
+    """
+    probe = np.random.PCG64(0)
+    address = probe.ctypes.state_address
+    slots = _in_object(probe, address, ctypes.c_uint32 * 4)
+    probe.state = dict(_PROBE, has_uint32=0)
+    cleared = list(slots)
+    probe.state = _PROBE
+    has_uint32 = _find([a - b for a, b in zip(slots, cleared)], 1, "has_uint32")
+    uinteger = _find(slots, _PROBE["uinteger"], "uinteger")
+    pointer = {0, 1} - {has_uint32 // 2, uinteger // 2}
+    if len(pointer) != 1:
+        raise _layout_error("state pointer")
+    pointer = pointer.pop()
+    words = _in_object(probe, (ctypes.c_uint64 * 2).from_address(address)[pointer],
+                       ctypes.c_uint64 * 4)
+    state, inc = _PROBE["state"]["state"], _PROBE["state"]["inc"]
+    order = [_find(words, v, "state words")
+             for v in (state >> 64, state & _M64, inc >> 64, inc & _M64)]
+    return pointer, has_uint32, uinteger, order
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """``(a + b) mod 2**128`` on (high, low) uint64 words. The low words'
+    halves cannot wrap when summed, so that sum's top bit is their carry."""
+    carry = ((a_lo >> 1) + (b_lo >> 1) + (a_lo & b_lo & 1)) >> 63
+    return a_hi + b_hi + carry, a_lo + b_lo
+
+
+def _times_mult(hi, lo):
+    """``(hi << 64 | lo) * _PCG64_MULT mod 2**128`` on (high, low) uint64
+    words. The low words' full product is summed from 32-bit halves, whose
+    partial sums cannot wrap, rather than with carries found by comparing:
+    a uint64 comparison is numpy code that the noise walk never runs, and
+    loading it cost 128 kB of resident memory."""
+    m1, m0 = _MULT_LO >> 32, _MULT_LO & _M32
+    l1, l0 = lo >> 32, lo & _M32
+    low, cross, cross2 = l0 * m0, l0 * m1, l1 * m0
+    mid = (low >> 32) + (cross & _M32) + (cross2 & _M32)
+    product_hi = l1 * m1 + (cross >> 32) + (cross2 >> 32) + (mid >> 32)
+    return (product_hi + hi * _MULT_LO + lo * _MULT_HI,
+            mid << 32 | low & _M32)
+
+
+def _child_states(words: list[int], lo: int, hi: int):
+    """The PCG64 states of ``default_rng(SeedSequence(entropy,
+    spawn_key=(i,)))`` for i in lo..hi-1, where ``words`` is
+    ``_words(entropy)``: four uint64 arrays, the state's high and low words,
+    then the increment's.
 
     SeedSequence hashes the run entropy, padded to 4 words, into a 4-word
     pool, mixes the pool's words together, then mixes in any entropy words
     beyond the fourth and last the spawn-key word. Everything before that
-    word is the same for every child, so it is computed once; the last mix
-    and ``generate_state(4, uint64)`` run for all i at once in uint64
-    arithmetic masked to 32 bits. PCG64 takes the 4 words as initstate
-    ``s0<<64|s1`` and initseq ``s2<<64|s3`` and runs PCG's srandom, done here
-    on Python ints.
+    word is the same for every child, so it runs once on Python ints; the
+    last mix and ``generate_state(4, uint64)`` run for all i at once in
+    uint64 arithmetic masked to 32 bits. PCG64 takes the 4 words as
+    initstate ``s0<<64|s1`` and initseq ``s2<<64|s3`` and runs PCG's
+    srandom, ``inc = initseq<<1 | 1`` and ``state = (inc + initstate) * mult
+    + inc`` mod 2**128, done here on the high and low words.
     """
     def hasher(hash_const, mult):
         def hashmix(value):  # a new value: never in place, arrays included
@@ -280,7 +370,6 @@ def _child_rngs(entropy, lo: int, hi: int):
         return result ^ result >> 16
 
     hashmix = hasher(0x43b0d7e5, 0x931e8875)
-    words = _words(entropy)
     pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
     for src in range(4):
         for dst in range(4):
@@ -294,27 +383,57 @@ def _child_rngs(entropy, lo: int, hi: int):
     scramble = hasher(0x8b51f9dd, 0x58f38ded)
     halves = [scramble(pool[k % 4]) for k in range(8)]  # generate_state's 8 words
     s0, s1, s2, s3 = (halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4))  # little-endian
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    state = _times_mult(*_add128(inc_hi, inc_lo, s0, s1))
+    return (*_add128(*state, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+# children seeded per block: a numpy operation on 1,020 words costs about
+# 1.2 times one on 255, and a block's arrays and Python ints stay under 300 kB
+_SEED_BLOCK = 1020
+
+
+def _child_rngs(entropy, lo: int, hi: int):
+    """One generator, set in turn to the state of
+    ``default_rng(SeedSequence(entropy, spawn_key=(i,)))`` for i in lo..hi-1
+    (hi <= 2**32, so that i is one word), and yielded after each.
+
+    ``_child_states`` computes the states ``_SEED_BLOCK`` children at a time.
+    Each child's four words are written straight into the generator's state
+    struct, and its ``has_uint32`` and ``uinteger`` reset to 0, as the public
+    ``state`` setter would; so no buffered 32-bit half passes from one child
+    to the next. ``_pcg64_layout`` says where those values live, and raises
+    RuntimeError, before the first child, on a layout it does not recognise.
+    """
+    words = _words(entropy)
+    pointer, has_uint32, uinteger, order = _pcg64_layout()
     rng = np.random.Generator(np.random.PCG64(0))
-    for initstate_hi, initstate_lo, initseq_hi, initseq_lo in zip(
-            s0.tolist(), s1.tolist(), s2.tolist(), s3.tolist()):
-        inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _M128
-        state = ((inc + (initstate_hi << 64 | initstate_lo)) * _PCG64_MULT + inc) & _M128
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield rng
+    bit_generator = rng.bit_generator
+    address = bit_generator.ctypes.state_address
+    slots = _in_object(bit_generator, address, ctypes.c_uint32 * 4)
+    state = _in_object(bit_generator, (ctypes.c_uint64 * 2).from_address(address)[pointer],
+                       ctypes.c_uint64 * 4)
+    for first in range(lo, hi, _SEED_BLOCK):
+        last = min(first + _SEED_BLOCK, hi)
+        block = np.empty((last - first, 4), dtype=np.uint64)
+        block[:, order] = np.stack(_child_states(words, first, last), axis=1)
+        for row in block.tolist():
+            state[:] = row
+            slots[has_uint32] = slots[uinteger] = 0
+            yield rng
 
 
 # the samples that one more process pays for, on each of the two Monte
-# Carlo paths. On a 64^2 disk of radius 16, 2 CPUs (medians of 15
+# Carlo paths. On a 64^2 disk of radius 16, 2 CPUs (medians of 21 and 31
 # alternating calls in one process, one process against two, where the
 # caller computes the first range and one forked helper the second): a
-# one-step walk with theta3 = 0.05 takes 60-70 us a sample and broke even
-# near 400 samples (28 and 28 ms at 400; 48 and 40 ms
-# at 600; 56 and 45 ms at 800; 68 and 54 ms at 1,000), while the one-step
-# layer tally takes 8-10 us and broke even between 2,000 and 3,000 (18 and
-# 18 ms at 2,000 over 9 calls; 25 and 24 ms, then 31 and 24 ms at 3,000; 41
-# and 30 ms at 4,000; 138 and 82 ms at 16,000 over 9). So a walk forks from
-# 800 samples and a tally from 4,000
+# one-step walk with theta3 = 0.05 takes 40-56 us a sample and broke even
+# between 200 and 400 samples (9 and 10 ms at 200; 22 and 17 ms at 400; 24
+# and 20 ms at 600; 44 and 31 ms at 1,000), while the one-step layer tally
+# takes 1.9-3.2 us and broke even between 4,000 and 6,000 (6 and 13 ms at
+# 2,000; 8 and 14 ms at 4,000; 18 and 14 ms at 6,000; 26 and 17 ms at
+# 8,000; 34 and 32 ms at 16,000; a second run of 15 calls read 11 and 11
+# ms at 6,000). So a walk forks from 800 samples and a tally from 4,000
 _MC_GRAIN = 400
 _TALLY_GRAIN = 2000
 
@@ -332,9 +451,10 @@ def _mc_votes(mask: np.ndarray, params: MarkovNoiseParams, state, entropy,
     if _tallies(params):
         return _one_step_votes(params, state, entropy, lo, hi)
     counts = np.zeros(mask.shape, dtype=np.int64)
+    children = _child_rngs(entropy, lo, hi)
     for first in range(lo, hi, 255):  # a uint8 tally holds 255 votes
         votes = np.zeros(mask.shape, dtype=np.uint8)
-        for rng in _child_rngs(entropy, first, min(first + 255, hi)):
+        for rng in islice(children, 255):
             votes += _run_process(mask, params, rng, state).view(np.uint8)
         counts += votes
     return counts
@@ -356,9 +476,10 @@ def _one_step_votes(params: MarkovNoiseParams, state, entropy, lo: int, hi: int)
     grid, _, start = state
     hits = [np.zeros(s.size, dtype=np.int64) for s in start]  # indexed by the expand coin
     rows = np.empty((min(255, hi - lo), 1 + max(s.size for s in start)))
+    children = _child_rngs(entropy, lo, hi)
     for first in range(lo, hi, 255):
         block = rows[:min(255, hi - first)]
-        for row, rng in zip(block, _child_rngs(entropy, first, first + len(block))):
+        for row, rng in zip(block, children):  # block first: no child is skipped
             rng.random(out=row)
         expand = block[:, 0] < params.theta1
         won = block[:, 1:] < params.theta2

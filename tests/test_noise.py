@@ -1,8 +1,11 @@
 """Boundary-walk label noise: stepping, sampling, presets, closed forms."""
 
+import ast
 import hashlib
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,7 +362,7 @@ def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpu
 # words, and a list of integers gives the words of each in turn
 @pytest.mark.parametrize("entropy", [0, 5, 0xdc2ec76571bb702f7d3dc70b632b0366,
                                      2**160 + 12345, [3, 2**40 + 7]])
-@pytest.mark.parametrize("lo,hi", [(0, 3), (254, 258), (2**32 - 3, 2**32)])
+@pytest.mark.parametrize("lo,hi", [(0, 3), (254, 258), (250, 1300), (2**32 - 3, 2**32)])
 def test_child_generators_are_the_spawned_children(entropy, lo, hi):
     from segnoise import noise
 
@@ -367,6 +370,73 @@ def test_child_generators_are_the_spawned_children(entropy, lo, hi):
         child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
         assert rng.bit_generator.state == child.bit_generator.state
         assert np.array_equal(rng.random(300), child.random(300))
+        # an odd count leaves half of a 64-bit draw buffered, which the next
+        # child must not see
+        assert np.array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
+                              child.integers(2**32, size=3, dtype=np.uint32))
+
+
+def moved(key, shift):
+    """A PCG64 whose public setter moves one value of the state it is given
+    by ``shift``, so that the value is not where the setter was asked to put it."""
+    real = np.random.PCG64
+
+    def setter(self, value):
+        value = dict(value, state=dict(value["state"]))
+        if key in value["state"]:
+            value["state"][key] += shift
+        else:
+            value[key] = shift
+        real.state.__set__(self, value)
+
+    # the setter checks the class name
+    return type("PCG64", (real,), {"state": property(real.state.__get__, setter)})
+
+
+@pytest.mark.parametrize("key,shift", [("inc", 2), ("state", 1), ("has_uint32", 0),
+                                       ("uinteger", 7)])
+def test_an_unrecognised_state_layout_raises_before_any_draw(monkeypatch, key, shift):
+    from segnoise import noise
+
+    monkeypatch.setattr(np.random, "PCG64", moved(key, shift))
+    noise._pcg64_layout.cache_clear()
+    try:
+        children = noise._child_rngs(5, 0, 3)
+        with pytest.raises(RuntimeError, match=f"^numpy {re.escape(np.__version__)}: PCG64 "):
+            next(children)
+        with pytest.raises(RuntimeError, match="child generators cannot be seeded$"):
+            expected_label_mc(centered_disk((9, 9), radius=2), params(), 10)
+    finally:
+        noise._pcg64_layout.cache_clear()
+
+
+def raw_memory_uses(path):
+    """Lines of ``path`` that import ``ctypes`` or reach an object's raw
+    memory through a ``ctypes`` or ``ctypeslib`` attribute."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        uses += [f"{path.name}:{node.lineno}: {name}" for name in names
+                 if name.split(".")[0] in ("ctypes", "ctypeslib")]
+    return uses
+
+
+def test_only_the_noise_module_touches_raw_memory():
+    # so that the write of a generator's state words stays in one place
+    from segnoise import noise
+
+    package = Path(noise.__file__).parent
+    assert raw_memory_uses(package / "noise.py")  # the check sees what it looks for
+    others = sorted(set(package.glob("*.py")) - {package / "noise.py"})
+    assert others
+    assert [use for path in others for use in raw_memory_uses(path)] == []
 
 
 def test_mc_refuses_sample_indices_beyond_one_spawn_key_word(monkeypatch):
