@@ -21,8 +21,8 @@ from .correct import (CorrectionParams, ValidationBoundInputs,
 from .formats import save_csv
 from .grid import as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig
-from .noise import (MarkovNoiseParams, _child_rngs, _one_step_regime, bayes_mask_one_step,
-                    expected_label_mc, generate)
+from .noise import (_SEED_BLOCK, MarkovNoiseParams, _child_rngs, _ChildIntegers, _one_step_regime,
+                    bayes_mask_one_step, expected_label_mc, generate)
 from .sdf import DegenerateMaskError, signed_distance
 
 __all__ = [
@@ -52,7 +52,8 @@ class SynthSpec:
     ellipses) kept at least 2 sites (``_MARGIN``) away from the grid edge.
     Images are ``contrast * blur(mask) + N(0, noise_sigma)``. The optional
     ``holes=(count, radius)`` punches that many interior background balls
-    into every mask, each fully surrounded by foreground.
+    into every mask, each fully surrounded by foreground. Mask i draws from
+    the i-th child seed, so ``count`` is at most 2**32.
     """
 
     count: int
@@ -67,6 +68,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.count > 2**32:  # mask 2**32 would need a second spawn-key word
+            raise ValueError(f"count must be <= 2**32, got {self.count}")
         if len(self.shape) not in (2, 3):
             raise ValueError(f"shape must be 2D or 3D, got {self.shape}")
         if min(self.shape) < 12:
@@ -106,7 +109,8 @@ def _draw_balls(rng: np.random.Generator, spec: SynthSpec) -> list:
     order (normative for reproducibility): shape count (ellipse unions
     only), then per shape the radius/semi-axes per axis, then the center per
     axis. Along each axis a shape covers ``center - r`` to ``center + r``,
-    at least ``_MARGIN`` sites from the grid's edge."""
+    at least ``_MARGIN`` sites from the grid's edge. ``_batch_balls`` draws
+    the same for many masks at once."""
     lo = max(2, min(spec.shape) // 8)
     hi = max(lo, min(spec.shape) // 4)
     n_shapes = 1 if spec.family == "disks" else int(rng.integers(1, 4))
@@ -322,17 +326,57 @@ def _crop_gaps(keys: list, theta1: float, theta2: float, lo: int, hi: int) -> li
     return out
 
 
+def _batch_balls(spec: SynthSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shapes that ``_draw_balls`` draws for masks lo..hi-1 of
+    ``synth_masks(spec)``, all drawn at once, in its order and with its
+    bits: int64 arrays of centers and radii, each with one row per mask, one
+    column per shape slot (1 for disks, 3 for ellipse unions) and one entry
+    per axis. A mask of fewer shapes has radii 0 in its last slots.
+
+    Raises ValueError on a grid side that gives a center 2**32 or more
+    values to take, which numpy draws some other way."""
+    ndim = len(spec.shape)
+    r_lo = max(2, min(spec.shape) // 8)
+    r_hi = max(r_lo, min(spec.shape) // 4)
+    for e in spec.shape:  # the least radius leaves a center the most values
+        if e - 2 * (_MARGIN + r_lo) >= 2**32:
+            raise ValueError(f"grid side {e} is too long for the pool's shape draw")
+    disks = spec.family == "disks"
+    slots = 1 if disks else 3
+    draws = _ChildIntegers(np.random.SeedSequence(spec.seed).entropy, lo, hi,
+                           1 + ndim if disks else 1 + slots * 2 * ndim)
+    count = 1 if disks else draws.integers(1, 4)
+    centers = np.zeros((hi - lo, slots, ndim), dtype=np.int64)
+    radii = np.zeros_like(centers)
+    for s in range(slots):
+        drawn = count > s
+        if disks:
+            radii[:, s] = draws.integers(r_lo, r_hi + 1)[:, None]
+        else:
+            for a in range(ndim):
+                radii[:, s, a] = draws.integers(r_lo, r_hi + 1, drawn)
+        for a, e in enumerate(spec.shape):
+            r = radii[:, s, a]
+            centers[:, s, a] = draws.integers(_MARGIN + r, e - _MARGIN - r, drawn)
+    return centers, radii
+
+
+# masks whose shapes one pass of _pool_gaps draws and weighs at once: the
+# largest pass array, a 3-D mask's 27 edge sums, then takes under 1 MB
+_POOL_BLOCK = 4 * _SEED_BLOCK
+
+
 def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
     """Rows mean, min and max of the SDF gap between the one-step
     most-likely mask and the clean mask, one column per mask of
     ``synth_masks(spec)``, for a spec without holes.
 
-    Each mask's shapes are drawn (``_draw_balls``) but not painted on the
-    grid. The mask is cropped to its foreground box grown by 2 sites: along
-    each axis, the sites ``min(center - r) - 2`` to ``max(center + r) + 2``
-    over its shapes. Every shape keeps ``_MARGIN`` = 2 sites from the grid's
-    edge, so the crop lies inside the grid, and everything is computed on
-    the crop, with the same bits as over the whole grid:
+    Each mask's shapes are drawn but not painted on the grid. The mask is
+    cropped to its foreground box grown by 2 sites: along each axis, the
+    sites ``min(center - r) - 2`` to ``max(center + r) + 2`` over its
+    shapes. Every shape keeps ``_MARGIN`` = 2 sites from the grid's edge, so
+    the crop lies inside the grid, and everything is computed on the crop,
+    with the same bits as over the whole grid:
 
     * The most-likely mask is the mask, its erosion or its dilation, so its
       foreground lies within the box grown by 1, and the two masks differ
@@ -352,31 +396,44 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
       Every gap is an integer, so the weighted sum is exact, and dividing it
       by the grid size gives the bits of ``diff.mean()`` over the grid.
 
+    The shapes are drawn by ``_batch_balls``, ``_POOL_BLOCK`` masks at a
+    time, from each mask's child words decoded as ``Generator.integers``
+    decodes them, with no generator per mask: the draw order and every bit
+    are those of ``_draw_balls``. ``_draw_balls`` stays the draw of
+    ``synth_masks`` and ``synth_dataset``, whose streams go on past the
+    shapes, to the holes and the image noise.
+
     A crop's bits depend only on its shapes' radii and their centers
-    relative to the crop, so those integers key the crop: each distinct crop
-    is painted and computed once per call, and a mask that repeats one is
-    never painted. Its position enters only through the weights, and the
-    weighted sum splits by axis: along each axis, the sum over the whole
-    axis plus ``start`` times the first index plus ``n - stop`` times the
-    last. So a distinct crop keeps only min, max and the 3^ndim sums that
-    take the whole axis, the first or the last index along each axis; a
-    mask's mean contracts those sums with the per-axis vectors
-    ``(1, start, n - stop)``. Every term is an integer below 2^53, so each
-    order of additions gives the same bits as the weighted sum over the crop.
+    relative to the crop, so those integers, one row per mask, key the crop:
+    each distinct row, in sorted order, is painted and computed once per
+    call, and a mask that repeats one is never painted. Its position enters
+    only through the weights, and the weighted sum splits by axis: along
+    each axis, the sum over the whole axis plus ``start`` times the first
+    index plus ``n - stop`` times the last. So a distinct crop keeps only
+    min, max and the 3^ndim sums that take the whole axis, the first or the
+    last index along each axis; each mask's mean contracts those sums with
+    the per-axis vectors ``(1, start, n - stop)``. Every term is an integer
+    below 2^53, so each order of additions gives the same bits as the
+    weighted sum over the crop.
 
     The distinct crops are computed in ``map_ranges``, which is asked for
     one process, this one among them, per ``_POOL_SITE_GRAIN`` of their
     sites.
     """
-    axes = range(len(spec.shape))
-    index = {}  # a crop's shapes, relative to it -> its place among the distinct crops
-    masks = []  # per mask: its crop's start along each axis, and its crop's place
-    for rng in _mask_rngs(spec):
-        balls = _draw_balls(rng, spec)
-        start = [min(c[a] - r[a] for c, r in balls) - 2 for a in axes]
-        key = tuple((tuple(x - s for x, s in zip(c, start)), r) for c, r in balls)
-        masks.append((start, index.setdefault(key, len(index))))
-    keys = list(index)
+    ndim = len(spec.shape)
+    starts, stops, keys = [], [], []
+    for lo in range(0, spec.count, _POOL_BLOCK):
+        centers, radii = _batch_balls(spec, lo, min(lo + _POOL_BLOCK, spec.count))
+        drawn = radii[..., :1] > 0  # an empty slot bounds no crop
+        start = np.where(drawn, centers - radii, spec.shape).min(axis=1) - 2
+        starts.append(start)
+        stops.append(np.where(drawn, centers + radii, 0).max(axis=1) + 3)
+        relative = np.where(drawn, centers - start[:, None], 0)
+        keys.append(np.concatenate((relative, radii), axis=2).reshape(len(start), -1))
+    rows, place = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    place = place.reshape(-1)
+    keys = [[(tuple(c), tuple(r)) for c, r in row if r[0]]
+            for row in rows.reshape(len(rows), -1, 2, ndim).tolist()]
     shapes = [_crop_shape(key) for key in keys]
     # the helpers compute signed distances: import their scipy here, before
     # the fork, or each helper pays about 0.35 s to import it anew
@@ -384,12 +441,18 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
     sites = sum(map(math.prod, shapes))
     parts = map_ranges(_crop_gaps, len(keys), sites // _POOL_SITE_GRAIN, keys, theta1, theta2)
     crops = [crop for part in parts for crop in part]
+    sums = np.stack([total for total, _, _ in crops])
+    start, stop = np.concatenate(starts), np.concatenate(stops)
     out = np.empty((3, spec.count))
-    for k, (start, place) in enumerate(masks):
-        total, low, high = crops[place]
-        for s, w, n in zip(start, shapes[place], spec.shape):  # sums out the leading axis
-            total = total[0] + s * total[1] + (n - s - w) * total[2]
-        out[:, k] = float(total) / math.prod(spec.shape), low, high
+    out[1:] = np.array([(low, high) for _, low, high in crops]).T[:, place]
+    for lo in range(0, spec.count, _POOL_BLOCK):
+        block = slice(lo, lo + _POOL_BLOCK)
+        total = sums[place[block]]
+        for a, n in enumerate(spec.shape):  # sums out the leading axis
+            total = total.reshape(len(total), 3, -1)
+            total = (total[:, 0] + start[block, a, None] * total[:, 1]
+                     + (n - stop[block, a, None]) * total[:, 2])
+        out[0, block] = total.reshape(-1) / math.prod(spec.shape)
     return out
 
 
@@ -411,7 +474,7 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
 
     Per-trial draw order: offset hit coins, offset sign coins, then the
     pool permutation. Pool mask i is drawn from the i-th child seed, as in
-    ``synth_masks``; the pool is built in up to one process per CPU
+    ``synth_masks``, so the pool holds at most 2**32 masks; it is built in up to one process per CPU
     this process may use, and the report is the same for every CPU count.
     In the identity regime the most-likely mask is the mask itself, so every
     gap is exactly 0 and no pool is built.
@@ -430,6 +493,9 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
     if v_needed < 1:
         raise ValueError("the bound asks for zero validation images; nothing to verify")
     pool_size = v_needed + holdout
+    if pool_size > 2**32:  # as SynthSpec, but naming what makes the pool
+        raise ValueError(f"the pool of v_required + holdout = {v_needed} + {holdout} "
+                         "masks must hold at most 2**32")
 
     pool_ss, trial_ss = np.random.SeedSequence(seed).spawn(2)
     spec = SynthSpec(count=pool_size, shape=(side, side), family=family,

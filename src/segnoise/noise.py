@@ -24,7 +24,10 @@ bits: the part of SeedSequence's hash that depends only on the seed is
 computed once per call, the part that depends on the child's index, and
 PCG's seeding arithmetic after it, run for up to 1,020 children at once in
 numpy, and one generator takes each state in turn, its four words written
-straight into its state struct.
+straight into its state struct. A caller that needs only a few bounded
+integers from each child needs no generator at all: ``_child_outputs`` steps
+the same states in numpy to each child's first outputs, and
+``_ChildIntegers`` decodes them as ``Generator.integers`` would.
 
 A step can change only its own boundary layer, so the walk keeps both layers
 and after each step recomputes membership only at the flipped sites and
@@ -356,6 +359,9 @@ def _child_states(words: list[int], lo: int, hi: int):
     srandom, ``inc = initseq<<1 | 1`` and ``state = (inc + initstate) * mult
     + inc`` mod 2**128, done here on the high and low words.
     """
+    if hi > 2**32:  # child 2**32 would need a second spawn-key word
+        raise ValueError(f"child indices must be below 2**32, got up to {hi - 1}")
+
     def hasher(hash_const, mult):
         def hashmix(value):  # a new value: never in place, arrays included
             nonlocal hash_const
@@ -421,6 +427,65 @@ def _child_rngs(entropy, lo: int, hi: int):
             state[:] = row
             slots[has_uint32] = slots[uinteger] = 0
             yield rng
+
+
+def _child_outputs(words: list[int], lo: int, hi: int, k: int) -> np.ndarray:
+    """The first ``k`` 64-bit outputs of each child lo..hi-1 of
+    ``_child_states``, one row per child: what its generator's
+    ``bit_generator.random_raw(k)`` returns. Each output steps the state,
+    ``state * mult + inc`` mod 2**128, and then takes PCG64's XSL-RR of it:
+    the high and low words xor'ed, rotated right by the state's top 6 bits."""
+    s_hi, s_lo, inc_hi, inc_lo = _child_states(words, lo, hi)
+    out = np.empty((hi - lo, k), dtype=np.uint64)
+    for j in range(k):
+        s_hi, s_lo = _add128(*_times_mult(s_hi, s_lo), inc_hi, inc_lo)
+        x, turn = s_hi ^ s_lo, s_hi >> 58
+        out[:, j] = x >> turn | x << (64 - turn & 63)
+    return out
+
+
+class _ChildIntegers:
+    """``Generator.integers(low, high)`` for each child lo..hi-1 of
+    ``SeedSequence(entropy)`` at once, drawn from the children's words as
+    their generators would draw them.
+
+    A fresh child buffers no 32-bit half, so its 32-bit words are the low
+    and then the high half of each output. A range of n = high - low values,
+    n below 2**32, takes Lemire's bounded method, as numpy does: a word x
+    gives ``x * n``, whose high half is the draw unless its low half falls
+    below ``2**32 mod n``, in which case that child takes its next word and
+    tries again. A range of one value takes no word. ``cursor`` holds each
+    child's next place in ``stream``; a child runs out of computed words
+    only after rejections, and then twice as many outputs are computed.
+    """
+
+    def __init__(self, entropy, lo: int, hi: int, words: int):
+        self.entropy, self.lo, self.hi = _words(entropy), lo, hi
+        self.cursor = np.zeros(hi - lo, dtype=np.intp)
+        self._compute((words + 1) // 2)
+
+    def _compute(self, k: int):
+        out = _child_outputs(self.entropy, self.lo, self.hi, k)
+        self.stream = np.stack((out & _M32, out >> 32), axis=-1).reshape(len(out), 2 * k)
+
+    def integers(self, low, high, draws=True) -> np.ndarray:
+        """One draw per child where ``draws`` holds, from ``low`` to
+        ``high`` - 1 (scalars or int64 arrays, one per child); 0 elsewhere."""
+        span = np.broadcast_to(np.asarray(high, dtype=np.int64) - low, self.cursor.shape)
+        if span.size and span.max() >= 1 << 32:  # numpy draws those some other way
+            raise ValueError(f"a range of {span.max()} values is too wide to draw")
+        span = span.astype(np.uint64)
+        reject_below = (1 << 32) % span  # numpy's threshold
+        value = np.zeros(self.cursor.shape, dtype=np.uint64)
+        rows = np.flatnonzero(draws & (span > 1))
+        while rows.size:
+            while self.cursor[rows].max() >= self.stream.shape[1]:
+                self._compute(self.stream.shape[1])
+            scaled = self.stream[rows, self.cursor[rows]] * span[rows]
+            self.cursor[rows] += 1
+            value[rows] = scaled >> 32
+            rows = rows[(scaled & _M32) < reject_below[rows]]
+        return np.where(draws, low + value.astype(np.int64), 0)
 
 
 # the samples that one more process pays for, on each of the two Monte

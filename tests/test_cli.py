@@ -884,6 +884,25 @@ def test_verify_theorem1_names_the_smallest_image_size(capsys):
                    "for shapes with margin, got 100\n")
 
 
+@pytest.mark.parametrize("command", ["synth", "theorem1"])
+def test_more_than_2_to_the_32_masks_exit_2_before_any_draw(tmp_path, capsys, command):
+    # mask 2**32 would need a second spawn-key word; these once ran until killed
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--count", "4294967297", "--size", "16x16"],
+        "theorem1": ["verify", "theorem1", "--eps0", "1", "--eps1", "20", "--eps", "2",
+                     "--alpha", "0.05", "--image-size", "65536", "--holdout", "4294967297"],
+    }[command]
+    rc, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert err == {
+        "synth": "error: count must be <= 2**32, got 4294967297\n",
+        "theorem1": "error: the pool of v_required + holdout = 2956 + 4294967297 masks "
+                    "must hold at most 2**32\n",
+    }[command]
+    assert not out.exists()
+
+
 def test_verify_theorem1_rejects_a_theta_out_of_range_in_the_identity_regime(capsys):
     # theta 0.5/-0.1 reads as the identity regime, which builds no pool; the
     # range check must come first

@@ -354,7 +354,15 @@ def test_the_pool_computes_each_distinct_crop_once(monkeypatch):
     geometries = [[((19, 14), small)], [((24, 11), small)], [((19, 14), large)],
                   [((6, 6), small)], [((31, 16), large)],
                   [((12, 10), (3, 5)), ((16, 14), (4, 3))]]
-    draws = iter(geometries * 2)  # the pool's draws, then synth_masks'
+    # the pool's batch draw: two shape slots a mask, radii 0 in an empty one
+    centers = np.zeros((6, 2, 2), dtype=np.int64)
+    radii = np.zeros_like(centers)
+    for k, balls in enumerate(geometries):
+        for slot, (c, r) in enumerate(balls):
+            centers[k, slot], radii[k, slot] = c, r
+    monkeypatch.setattr(harness, "_batch_balls",
+                        lambda spec, lo, hi: (centers[lo:hi], radii[lo:hi]))
+    draws = iter(geometries)  # synth_masks' draws, one mask at a time
     monkeypatch.setattr(harness, "_draw_balls", lambda rng, spec: next(draws))
     calls = []
 
@@ -370,6 +378,96 @@ def test_the_pool_computes_each_distinct_crop_once(monkeypatch):
     monkeypatch.setattr(harness, "signed_distance", signed_distance)
     masks = list(synth_masks(spec))  # the same six draws, painted on the grid
     assert got.tobytes() == np.array([_full_grid_gaps(m, 0.7, 0.9) for m in masks]).T.tobytes()
+
+
+def worked_example_pool_seed():
+    """The pool seed that ``verify_validation_bound(seed=1)`` gives its spec."""
+    pool_ss, _ = np.random.SeedSequence(1).spawn(2)
+    return int(pool_ss.generate_state(1)[0])
+
+
+# SHA-256 of _pool_gaps(...).tobytes(), recorded from the pool that drew each
+# mask's shapes with its own generator: the worked example's 3,156 disks on
+# 256^2, a 256^2 ellipse-union pool in the shrink regime, and a 24^3 disk pool
+POOL_DIGESTS = {
+    "worked-example": ((3156, (256, 256), "disks", None), 0.7, 0.9,
+                       "3c7fd4f1ea0aa6c933a28bc7714f8598a9315d56b5bb611d5169f206c796cc27"),
+    "ellipse-unions-256": ((100, (256, 256), "ellipse-unions", 21), 0.2, 0.8,
+                           "c7841f782a2a0f4b8c1dbaf0d8ce8fe14cff6cba401a731e40c9f36d6f755b60"),
+    "disks-24^3": ((1000, (24, 24, 24), "disks", 22), 0.7, 0.9,
+                   "3daa6c874e34123ac36b71359f5a0a6a8b13700dc2bd080bdb85604957383123"),
+}
+
+
+@pytest.mark.parametrize("block", [None, 333], ids=["one-block", "blocks-of-333"])
+@pytest.mark.parametrize("case", list(POOL_DIGESTS))
+def test_pools_keep_their_bits(monkeypatch, case, block):
+    from segnoise import harness
+
+    if block:  # masks drawn and weighed a block at a time keep their bits
+        monkeypatch.setattr(harness, "_POOL_BLOCK", block)
+    (count, shape, family, seed), theta1, theta2, digest = POOL_DIGESTS[case]
+    spec = SynthSpec(count=count, shape=shape, family=family,
+                     seed=worked_example_pool_seed() if seed is None else seed)
+    gaps = harness._pool_gaps(spec, theta1, theta2)
+    assert hashlib.sha256(gaps.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family", ["disks", "ellipse-unions"])
+@pytest.mark.parametrize("shape", [(12, 12), (12, 30), (256, 256), (12, 12, 12), (40, 24, 32)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_the_batch_draw_is_each_masks_draw(family, shape):
+    # two calls, the second starting mid-stream, against one generator a mask
+    from segnoise import harness
+
+    spec = SynthSpec(count=2100, shape=shape, family=family, seed=6)
+    parts = [harness._batch_balls(spec, 0, 1000), harness._batch_balls(spec, 1000, 2100)]
+    centers, radii = (np.concatenate(arrays) for arrays in zip(*parts))
+    got = [[(tuple(c), tuple(r)) for c, r in zip(cs, rs) if r[0]]
+           for cs, rs in zip(centers.tolist(), radii.tolist())]
+    assert got == [harness._draw_balls(rng, spec) for rng in harness._mask_rngs(spec)]
+
+
+def test_a_grid_side_that_numpy_draws_another_way_is_refused():
+    # a range of 2**32 values or more takes numpy off Lemire's 32-bit path;
+    # no pool comes near it
+    from segnoise import harness
+
+    side = 2**32 + 2 * (harness._MARGIN + 2)  # at the least radius, 2, 2**32 centers
+    for e, refused in ((side - 1, False), (side, True)):
+        spec = SynthSpec(count=3, shape=(12, e))
+        if refused:
+            with pytest.raises(ValueError, match=f"^grid side {e} "):
+                harness._batch_balls(spec, 0, 3)
+        else:
+            assert harness._batch_balls(spec, 0, 3)[1].shape == (3, 1, 2)
+
+
+def no_draw(*args):
+    raise AssertionError("a mask's shapes were drawn")
+
+
+def test_the_worked_example_pool_draws_through_no_generator(monkeypatch):
+    from segnoise import harness, noise
+
+    for module, name in ((harness, "_draw_balls"), (harness, "_child_rngs"),
+                         (noise, "_child_rngs")):
+        monkeypatch.setattr(module, name, no_draw)
+    inputs = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=65536)
+    rep = verify_validation_bound(inputs, n_trials=5, seed=1)
+    assert rep.measurements["pool_size"] == 3156
+
+
+def test_a_pool_of_more_than_2_to_the_32_masks_is_refused_before_any_draw(monkeypatch):
+    from segnoise import harness
+
+    monkeypatch.setattr(harness, "_batch_balls", no_draw)
+    inputs = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=65536)
+    with pytest.raises(ValueError, match=r"v_required \+ holdout = 2956 \+ 4294964341 "):
+        verify_validation_bound(inputs, n_trials=5, holdout=2**32 - 2955)
+    with pytest.raises(ValueError, match=r"^count must be <= 2\*\*32, got 4294967297$"):
+        SynthSpec(count=2**32 + 1, shape=(12, 12))
+    assert SynthSpec(count=2**32, shape=(12, 12)).count == 2**32
 
 
 def test_incomplete_beta_inverse_is_the_beta_quantile():

@@ -376,6 +376,50 @@ def test_child_generators_are_the_spawned_children(entropy, lo, hi):
                               child.integers(2**32, size=3, dtype=np.uint32))
 
 
+@pytest.mark.parametrize("lo,hi", [(0, 3), (1000, 1030), (2**32 - 3, 2**32)])
+def test_child_outputs_are_the_spawned_childrens_raw_draws(lo, hi):
+    from segnoise import noise
+
+    entropy = 0xdc2ec76571bb702f7d3dc70b632b0366
+    out = noise._child_outputs(noise._words(entropy), lo, hi, 5)
+    for i, row in zip(range(lo, hi), out, strict=True):
+        child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+        assert np.array_equal(row, child.bit_generator.random_raw(5))
+
+
+def test_no_child_past_the_first_spawn_key_word_is_seeded():
+    from segnoise import noise
+
+    with pytest.raises(ValueError, match=r"^child indices must be below 2\*\*32, got up to 4294967296$"):
+        next(noise._child_rngs(5, 2**32 - 1, 2**32 + 1))
+
+
+def test_the_bounded_decode_is_the_generators_integers():
+    # 2**31 + 1 values reject about half of all words, so cursors run far
+    # past the two words a child starts with; a range of one value takes no
+    # word, a child that does not draw takes none either, and 2**32 - 1
+    # values is the widest range numpy draws this way
+    from segnoise import noise
+
+    n = 1200
+    draws = noise._ChildIntegers(7, 0, n, 2)
+    odd = np.arange(n) % 2 == 1
+    got = []
+    for _ in range(6):
+        got += [draws.integers(0, 2**31 + 1), draws.integers(5, 6),
+                draws.integers(np.arange(n), np.arange(n) + 9, odd),
+                draws.integers(1, 2**32)]
+    assert draws.cursor.max() > 2  # past the words of the first output
+    got = np.array(got).T
+    for i, child in enumerate(np.random.SeedSequence(7).spawn(n)):
+        rng = np.random.default_rng(child)
+        want = []
+        for _ in range(6):
+            want += [rng.integers(0, 2**31 + 1), rng.integers(5, 6),
+                     rng.integers(i, i + 9) if i % 2 else 0, rng.integers(1, 2**32)]
+        assert got[i].tolist() == want
+
+
 def moved(key, shift):
     """A PCG64 whose public setter moves one value of the state it is given
     by ``shift``, so that the value is not where the setter was asked to put it."""
