@@ -2,32 +2,74 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 a verification
 command ran fine but the property under test failed.
+
+A command's cold start is mostly imports, so this module imports only the
+standard library and ``bound`` at the top: ``import segnoise.cli``,
+``segnoise bound``, ``--help`` and a usage error load neither numpy nor the
+rest of the package. ``_load`` imports them before any other command runs,
+in this process, so a fan-out's forked helpers find them loaded, and binds
+the names in ``_DEFERRED`` as globals of this module. It never rebinds a
+name that is already set, and the commands call whatever these globals
+hold: a tracer may replace one with a wrapper before the first command
+(reading it first loads them all, through the module's ``__getattr__``)
+and put the original back afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .correct import (CorrectionParams, ValidationBoundInputs, _rounds, estimate_bias,
-                      logit_correct, required_validation_size, write_report)
-from .formats import load_field, load_gtf, load_mask, save_csv, save_field, save_mask
-from .grid import threshold
-from .harness import (SynthSpec, centered_disk, sweep, synth_dataset,
-                      verify_bayes_mask, verify_validation_bound,
-                      write_trial_report)
-from .model import (ExternalSegmenter, LogisticSegmenter, TrainConfig,
-                    TrainingDivergedError)
-from .noise import PRESETS, MarkovNoiseParams, generate, load_presets
-from .sdf import DegenerateMaskError, signed_distance
+from .bound import ValidationBoundInputs, required_validation_size
 
 __all__ = ["main"]
+
+# what the commands other than `bound` use, by module; `_load` binds these
+_DEFERRED = {
+    "correct": ("CorrectionParams", "_rounds", "estimate_bias", "logit_correct",
+                "write_report"),
+    "formats": ("load_field", "load_gtf", "load_mask", "save_csv", "save_field", "save_mask"),
+    "grid": ("threshold",),
+    "harness": ("SynthSpec", "centered_disk", "sweep", "synth_dataset", "verify_bayes_mask",
+                "verify_validation_bound", "write_trial_report"),
+    "model": ("ExternalSegmenter", "LogisticSegmenter", "TrainConfig",
+              "TrainingDivergedError"),
+    "noise": ("PRESETS", "MarkovNoiseParams", "generate", "load_presets"),
+    "sdf": ("DegenerateMaskError", "signed_distance"),
+}
+
+# the errors of bad data, which exit 2: format, degenerate-mask and JSON
+# errors are ValueErrors, a timeout an OSError; `_load` adds a diverged fit
+_DATA_ERRORS: tuple[type[Exception], ...] = (OSError, ValueError, KeyError)
+_loaded = False
+
+
+def _load() -> None:
+    """Import numpy and the modules that the commands use, and bind numpy as
+    ``np`` and each name in ``_DEFERRED`` here, unless it is already set."""
+    global _DATA_ERRORS, _loaded
+    if _loaded:
+        return
+    namespace = globals()
+    namespace.setdefault("np", importlib.import_module("numpy"))
+    for module, names in _DEFERRED.items():
+        home = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(home, name))
+    _DATA_ERRORS += (TrainingDivergedError,)
+    _loaded = True
+
+
+def __getattr__(name: str):
+    if name == "np" or any(name in names for names in _DEFERRED.values()):
+        _load()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -299,7 +341,7 @@ def _cmd_sc_run(args) -> int:
                 (out / "model.json").write_text(model.to_json(), encoding="utf-8")
             records.append(record)
     # main's data errors, named with the round whose fit or files raised them
-    except (OSError, ValueError, KeyError, TrainingDivergedError) as e:
+    except _DATA_ERRORS as e:
         print(f"error: {e} (in round {len(records)})", file=sys.stderr)
         return 2
     if isinstance(model, LogisticSegmenter):  # also after a refit that went blank
@@ -546,13 +588,14 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    if args.func is not _cmd_bound:
+        _load()
     try:
         return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    # format, degenerate-mask and JSON errors are ValueErrors, a timeout an OSError
-    except (OSError, ValueError, KeyError, TrainingDivergedError) as e:
+    except _DATA_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

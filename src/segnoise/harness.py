@@ -16,8 +16,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._fanout import map_ranges
-from .correct import (CorrectionParams, ValidationBoundInputs,
-                      required_validation_size, spatial_correction)
+from .bound import ValidationBoundInputs, required_validation_size
+from .correct import CorrectionParams, spatial_correction
 from .formats import save_csv
 from .grid import as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig
@@ -504,7 +504,12 @@ def verify_validation_bound(inputs: ValidationBoundInputs, n_trials: int, *,
         # the most-likely mask is the mask itself: every gap is exactly 0
         gaps = lo = hi = np.zeros(pool_size)
     else:
-        gaps, lo, hi = _pool_gaps(spec, theta1, theta2)
+        try:
+            gaps, lo, hi = _pool_gaps(spec, theta1, theta2)
+        except MemoryError:  # a crop spans up to half the grid along each axis
+            raise ValueError(f"the pool of {pool_size} masks on a {side}x{side} grid "
+                             f"(image_size {inputs.image_size}) needs more memory than "
+                             "is available") from None
 
     failures = 0
     error_sum = 0.0

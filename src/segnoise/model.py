@@ -82,8 +82,13 @@ def _features(image: np.ndarray, radii: tuple[int, ...],
     out[:, 0] = 1.0
     out[:, 1] = img.reshape(-1)
     for j, r in enumerate(radii, start=2):
-        ndimage.uniform_filter(img, size=2 * r + 1, mode="nearest",
-                               output=out[:, j].reshape(img.shape))
+        try:  # the filter pads each line with r sites at either end
+            ndimage.uniform_filter(img, size=2 * r + 1, mode="nearest",
+                                   output=out[:, j].reshape(img.shape))
+        except MemoryError:
+            raise ValueError(f"feature radius {r} pads each line of a "
+                             f"{'x'.join(map(str, img.shape))} image beyond the memory "
+                             "available") from None
     return out
 
 

@@ -903,6 +903,40 @@ def test_more_than_2_to_the_32_masks_exit_2_before_any_draw(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sc-run", "sweep", "theorem1"])
+def test_a_size_beyond_memory_exits_2_without_a_traceback(tmp_path, capsys, command):
+    # a box filter padded by 10**12 sites, or a pool crop of a 10**6-wide
+    # grid, once ended in a MemoryError traceback at exit 1
+    images_dir, masks_dir = make_dataset(capsys, tmp_path / "data", count=2, size="16x16")
+    out = tmp_path / "out"
+    radii = ["--radii", "1000000000000", "--epochs", "2"]
+    argv = {
+        "train": ["train", "--images-dir", str(images_dir), "--labels-dir", str(masks_dir),
+                  *radii],
+        "sc-run": ["sc-run", "--train-images", str(images_dir),
+                   "--train-labels", str(masks_dir), "--val-images", str(images_dir),
+                   "--val-masks", str(masks_dir), *radii],
+        "sweep": ["sweep", "--kind", "noise_level", "--values", "1", "--count", "4",
+                  "--size", "16x16", "--n-val", "1", "--n-test", "1", "--preset", "tiny-se",
+                  *radii],
+        "theorem1": ["verify", "theorem1", "--eps0", "1", "--eps1", "20", "--eps", "2",
+                     "--alpha", "0.05", "--image-size", "1000000000000", "--trials", "2",
+                     "--holdout", "2"],
+    }[command]
+    rc, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    radius = "error: feature radius 1000000000000 pads each line of a 16x16 image beyond " \
+             "the memory available"
+    assert err == {
+        "train": radius + "\n",
+        "sc-run": radius + " (in round 0)\n",
+        "sweep": radius + "\n",
+        "theorem1": "error: the pool of 6266 masks on a 1000000x1000000 grid (image_size "
+                    "1000000000000) needs more memory than is available\n",
+    }[command]
+    assert not out.exists()
+
+
 def test_verify_theorem1_rejects_a_theta_out_of_range_in_the_identity_regime(capsys):
     # theta 0.5/-0.1 reads as the identity regime, which builds no pool; the
     # range check must come first
@@ -1039,6 +1073,88 @@ def test_bound_and_an_unsmoothed_gen_noise_load_no_scipy(tmp_path):
         assert main(argv) == 0
     for name in ("noisy.gtf", "smoothed.gtf", "sdf.gtf"):
         assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+
+
+LOADED_AFTER = """\
+import contextlib, io, json, sys
+def loaded():
+    return ["numpy" in sys.modules,
+            sorted(m for m in sys.modules if m == "segnoise" or m.startswith("segnoise."))]
+import segnoise.cli
+seen = {"import": loaded()}
+for name, argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = segnoise.cli.main(argv)
+        except SystemExit as e:  # --help
+            rc = e.code
+    seen[name] = [rc, *loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_bound_help_and_usage_errors_load_no_numpy_and_no_other_module(tmp_path):
+    # numpy and the package's modules are most of a cold start; a command
+    # that needs them loads them first and writes the same bytes
+    mask = tmp_path / "mask.gtf"
+    save_mask(centered_disk((20, 24)), mask)
+    noise = ["gen-noise", "--mask", str(mask), "--preset", "tiny-se", "--seed", "4"]
+    proc = run_fresh(LOADED_AFTER % [
+        ("bound", BOUND_ARGV), ("help", ["--help"]), ("sub-help", ["sweep", "--help"]),
+        ("unknown flag", ["bound", "--nope", "1"]), ("missing flag", noise),
+        ("gen-noise", [*noise, "--out", str(tmp_path / "fresh.gtf")])])
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    light = [False, ["segnoise", "segnoise.bound", "segnoise.cli"]]
+    assert seen.pop("import") == light
+    assert seen.pop("bound") == [0, *light]
+    assert seen.pop("help") == [0, *light]
+    assert seen.pop("sub-help") == [0, *light]
+    assert seen.pop("unknown flag") == [1, *light]
+    assert seen.pop("missing flag") == [1, *light]
+    rc, numpy_loaded, modules = seen.pop("gen-noise")
+    assert (rc, numpy_loaded) == (0, True) and "segnoise.noise" in modules
+    assert main([*noise, "--out", str(tmp_path / "here.gtf")]) == 0
+    assert (tmp_path / "fresh.gtf").read_bytes() == (tmp_path / "here.gtf").read_bytes()
+
+
+PATCHED_BEFORE_THE_FIRST_COMMAND = """\
+import json, sys
+import segnoise.cli as cli
+from segnoise import formats
+calls, originals = [], {}
+def patch(name, original):
+    originals[name] = original
+    def patched(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    setattr(cli, name, patched)
+patch("save_mask", formats.save_mask)  # set before the CLI's own names are bound
+patch("generate", getattr(cli, "generate"))  # as a tracer does: read, then replace
+first = cli.main(%r)
+for name, original in originals.items():
+    setattr(cli, name, original)
+second = cli.main(%r)
+noise = sys.modules["segnoise.noise"]
+print(json.dumps([first, second, calls, originals["generate"] is noise.generate,
+                  originals["save_mask"] is formats.save_mask,
+                  cli.generate is noise.generate, cli.save_mask is formats.save_mask]))
+"""
+
+
+def test_names_patched_before_the_first_command_are_called_and_restored(tmp_path):
+    mask = tmp_path / "mask.gtf"
+    save_mask(centered_disk((20, 24)), mask)
+    noise = ["gen-noise", "--mask", str(mask), "--preset", "tiny-se", "--seed", "4"]
+    proc = run_fresh(PATCHED_BEFORE_THE_FIRST_COMMAND % (
+        [*noise, "--out", str(tmp_path / "patched.gtf")],
+        [*noise, "--out", str(tmp_path / "restored.gtf")]))
+    assert proc.returncode == 0, proc.stderr
+    first, second, calls, *originals = json.loads(proc.stdout.splitlines()[-1])
+    assert (first, second) == (0, 0)
+    assert calls == ["generate", "save_mask"]  # the first command only
+    assert originals == [True, True, True, True]
+    assert (tmp_path / "patched.gtf").read_bytes() == (tmp_path / "restored.gtf").read_bytes()
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
