@@ -16,13 +16,14 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._fanout import map_ranges
+from ._seeds import _SEED_BLOCK, _ChildIntegers
 from .bound import ValidationBoundInputs, required_validation_size
 from .correct import CorrectionParams, spatial_correction
 from .formats import save_csv
 from .grid import as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig
-from .noise import (_SEED_BLOCK, MarkovNoiseParams, _child_rngs, _ChildIntegers, _one_step_regime,
-                    bayes_mask_one_step, expected_label_mc, generate)
+from .noise import (MarkovNoiseParams, _one_step_regime, bayes_mask_one_step, expected_label_mc,
+                    generate)
 from .sdf import DegenerateMaskError, signed_distance
 
 __all__ = [
@@ -104,28 +105,6 @@ def _ball(shape: tuple[int, ...], center: Sequence[float],
     return out
 
 
-def _draw_balls(rng: np.random.Generator, spec: SynthSpec) -> list:
-    """The shapes of one mask, each as its integer ``(center, radii)``. Draw
-    order (normative for reproducibility): shape count (ellipse unions
-    only), then per shape the radius/semi-axes per axis, then the center per
-    axis. Along each axis a shape covers ``center - r`` to ``center + r``,
-    at least ``_MARGIN`` sites from the grid's edge. ``_batch_balls`` draws
-    the same for many masks at once."""
-    lo = max(2, min(spec.shape) // 8)
-    hi = max(lo, min(spec.shape) // 4)
-    n_shapes = 1 if spec.family == "disks" else int(rng.integers(1, 4))
-    balls = []
-    for _ in range(n_shapes):
-        if spec.family == "disks":
-            radii = (int(rng.integers(lo, hi + 1)),) * len(spec.shape)
-        else:
-            radii = tuple(int(r) for r in rng.integers(lo, hi + 1, size=len(spec.shape)))
-        center = tuple(int(rng.integers(_MARGIN + r, e - _MARGIN - r))
-                       for e, r in zip(spec.shape, radii))
-        balls.append((center, radii))
-    return balls
-
-
 def _paint(shape: tuple[int, ...], balls) -> np.ndarray:
     """The union of ``balls``, each an integer ``(center, radii)``, on a grid of
     ``shape``; a ball's bits depend only on its radii and where its center
@@ -136,34 +115,29 @@ def _paint(shape: tuple[int, ...], balls) -> np.ndarray:
     return mask
 
 
-def _draw_mask(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
-    """Draw one mask: the shapes of ``_draw_balls`` painted on the grid, then
-    the hole centers, drawn last."""
-    mask = _paint(spec.shape, _draw_balls(rng, spec))
-    if spec.holes is not None:
-        hc, hr = spec.holes
-        depth_needed = hr + 2  # hole stays strictly interior: a full FG layer survives
-        phi = signed_distance(mask)
-        candidates = np.flatnonzero(phi <= -depth_needed)
-        if candidates.size < hc:
-            raise ValueError(f"mask too small for {hc} holes of radius {hr}")
-        picks = rng.choice(candidates, size=hc, replace=False)
-        for flat in picks:
-            center = np.array(np.unravel_index(flat, spec.shape), dtype=float)
-            mask &= ~_ball(spec.shape, center, np.full(len(spec.shape), float(hr)))
-    return mask
-
-
-def _mask_rngs(spec: SynthSpec) -> Iterator[np.random.Generator]:
-    """One generator set in turn to each mask's child seed: mask i draws from
-    ``SeedSequence(spec.seed).spawn(count)[i]`` alone."""
-    return _child_rngs(np.random.SeedSequence(spec.seed).entropy, 0, spec.count)
+def _drawn_masks(spec: SynthSpec) -> Iterator[tuple[np.ndarray, np.random.Generator]]:
+    """Each mask of ``spec``, its ``_batch_balls`` shapes painted and then
+    holed, with the generator that drew the hole centers."""
+    for lo in range(0, spec.count, _POOL_BLOCK):
+        centers, radii, rngs = _batch_balls(spec, lo, min(lo + _POOL_BLOCK, spec.count))
+        for cs, rs, rng in zip(centers.tolist(), radii.tolist(), rngs):
+            mask = _paint(spec.shape, [(c, r) for c, r in zip(cs, rs) if r[0]])
+            if spec.holes is not None:
+                hc, hr = spec.holes
+                depth_needed = hr + 2  # hole stays strictly interior: a full FG layer survives
+                candidates = np.flatnonzero(signed_distance(mask) <= -depth_needed)
+                if candidates.size < hc:
+                    raise ValueError(f"mask too small for {hc} holes of radius {hr}")
+                for flat in rng.choice(candidates, size=hc, replace=False):
+                    center = np.array(np.unravel_index(flat, spec.shape), dtype=float)
+                    mask &= ~_ball(spec.shape, center, np.full(len(spec.shape), float(hr)))
+            yield mask, rng
 
 
 def synth_masks(spec: SynthSpec) -> Iterator[np.ndarray]:
-    """The masks of synth_dataset(spec), without the images, each drawn only
-    when the caller's iteration reaches it, so a large pool is never held."""
-    return (_draw_mask(rng, spec) for rng in _mask_rngs(spec))
+    """The masks of synth_dataset(spec), without the images: shapes drawn per
+    ``_POOL_BLOCK`` masks, each mask painted when the iteration reaches it."""
+    return (mask for mask, _ in _drawn_masks(spec))
 
 
 def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -173,8 +147,7 @@ def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
     from scipy import ndimage
 
     images, masks = [], []
-    for rng in _mask_rngs(spec):
-        mask = _draw_mask(rng, spec)
+    for mask, rng in _drawn_masks(spec):
         clean = spec.contrast * (
             ndimage.gaussian_filter(mask.astype(np.float64), spec.blur_sigma,
                                     mode="constant", cval=0.0, truncate=3.0)
@@ -326,12 +299,18 @@ def _crop_gaps(keys: list, theta1: float, theta2: float, lo: int, hi: int) -> li
     return out
 
 
-def _batch_balls(spec: SynthSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shapes that ``_draw_balls`` draws for masks lo..hi-1 of
-    ``synth_masks(spec)``, all drawn at once, in its order and with its
-    bits: int64 arrays of centers and radii, each with one row per mask, one
-    column per shape slot (1 for disks, 3 for ellipse unions) and one entry
-    per axis. A mask of fewer shapes has radii 0 in its last slots.
+def _batch_balls(spec: SynthSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, Iterator]:
+    """The shapes of masks lo..hi-1 of ``synth_masks(spec)``, drawn at once
+    from their child words as ``Generator.integers`` draws them. Draw order
+    (normative for reproducibility): shape count (ellipse unions only), then
+    per shape the radius/semi-axes per axis, then the center per axis. Along
+    each axis a shape covers ``center - r`` to ``center + r``, at least
+    ``_MARGIN`` sites from the grid's edge.
+
+    Returns int64 arrays of centers and radii, one row per mask, one column
+    per shape slot (1 for disks, 3 for ellipse unions; radii 0 in a mask's
+    unused slots) and one entry per axis; then ``_ChildIntegers.rngs``, each
+    mask's generator past its shape words, which seeds nothing until read.
 
     Raises ValueError on a grid side that gives a center 2**32 or more
     values to take, which numpy draws some other way."""
@@ -340,7 +319,7 @@ def _batch_balls(spec: SynthSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     r_hi = max(r_lo, min(spec.shape) // 4)
     for e in spec.shape:  # the least radius leaves a center the most values
         if e - 2 * (_MARGIN + r_lo) >= 2**32:
-            raise ValueError(f"grid side {e} is too long for the pool's shape draw")
+            raise ValueError(f"grid side {e} is too long for the shape draw")
     disks = spec.family == "disks"
     slots = 1 if disks else 3
     draws = _ChildIntegers(np.random.SeedSequence(spec.seed).entropy, lo, hi,
@@ -349,7 +328,7 @@ def _batch_balls(spec: SynthSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     centers = np.zeros((hi - lo, slots, ndim), dtype=np.int64)
     radii = np.zeros_like(centers)
     for s in range(slots):
-        drawn = count > s
+        drawn = np.array([c > s for c in range(4)])[count]  # count > s; see _ChildIntegers.integers
         if disks:
             radii[:, s] = draws.integers(r_lo, r_hi + 1)[:, None]
         else:
@@ -358,11 +337,11 @@ def _batch_balls(spec: SynthSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
         for a, e in enumerate(spec.shape):
             r = radii[:, s, a]
             centers[:, s, a] = draws.integers(_MARGIN + r, e - _MARGIN - r, drawn)
-    return centers, radii
+    return centers, radii, draws.rngs()
 
 
-# masks whose shapes one pass of _pool_gaps draws and weighs at once: the
-# largest pass array, a 3-D mask's 27 edge sums, then takes under 1 MB
+# masks whose shapes one _batch_balls call draws, and one pass of _pool_gaps
+# weighs: its largest array, a 3-D mask's 27 edge sums, takes under 1 MB
 _POOL_BLOCK = 4 * _SEED_BLOCK
 
 
@@ -397,11 +376,7 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
       by the grid size gives the bits of ``diff.mean()`` over the grid.
 
     The shapes are drawn by ``_batch_balls``, ``_POOL_BLOCK`` masks at a
-    time, from each mask's child words decoded as ``Generator.integers``
-    decodes them, with no generator per mask: the draw order and every bit
-    are those of ``_draw_balls``. ``_draw_balls`` stays the draw of
-    ``synth_masks`` and ``synth_dataset``, whose streams go on past the
-    shapes, to the holes and the image noise.
+    time, as for ``synth_masks``, with no generator per mask.
 
     A crop's bits depend only on its shapes' radii and their centers
     relative to the crop, so those integers, one row per mask, key the crop:
@@ -423,7 +398,7 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
     ndim = len(spec.shape)
     starts, stops, keys = [], [], []
     for lo in range(0, spec.count, _POOL_BLOCK):
-        centers, radii = _batch_balls(spec, lo, min(lo + _POOL_BLOCK, spec.count))
+        centers, radii, _ = _batch_balls(spec, lo, min(lo + _POOL_BLOCK, spec.count))
         drawn = radii[..., :1] > 0  # an empty slot bounds no crop
         start = np.where(drawn, centers - radii, spec.shape).min(axis=1) - 2
         starts.append(start)

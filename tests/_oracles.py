@@ -2,7 +2,8 @@
 
 Nothing here may call into segnoise's own geometry/distance code paths. Distances
 come from explicit graph adjacency plus scipy's shortest-path solver, boundaries
-from hand-rolled neighbor loops, expectations from closed-form arithmetic.
+from hand-rolled neighbor loops, expectations from closed-form arithmetic, and
+synthetic shapes from the generator the caller hands in.
 ``run_fresh`` runs code in a new interpreter, for what a running test process
 cannot show: what an import loads, what an environment variable read at
 start-up changes, or what outlives a killed process (``start_fresh``).
@@ -166,6 +167,26 @@ def random_mask(rng, shape, p=None):
     if not m.any():
         m.flat[rng.integers(m.size)] = True
     return m
+
+
+def reference_balls(rng, shape, family):
+    """One synthetic mask's shapes, each an integer ``(center, radii)``, drawn
+    from ``rng`` in the documented order: the shape count (ellipse unions
+    only, 1 to 3), then per shape its radius (disks) or one semi-axis per
+    axis, then its center per axis, which keeps the shape 2 sites from the
+    grid's edge. Radii run from max(2, m // 8) to max(that, m // 4), m the
+    least extent."""
+    lo = max(2, min(shape) // 8)
+    hi = max(lo, min(shape) // 4)
+    balls = []
+    for _ in range(1 if family == "disks" else int(rng.integers(1, 4))):
+        if family == "disks":
+            radii = (int(rng.integers(lo, hi + 1)),) * len(shape)
+        else:
+            radii = tuple(int(r) for r in rng.integers(lo, hi + 1, size=len(shape)))
+        balls.append((tuple(int(rng.integers(2 + r, e - 2 - r)) for e, r in zip(shape, radii)),
+                      radii))
+    return balls
 
 
 def _fresh_env(env: dict) -> dict:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import re
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from segnoise import (
     write_trial_report,
 )
 
-from _oracles import assert_no_child_left, interior_hole_flips
+from _oracles import assert_no_child_left, interior_hole_flips, reference_balls
 
 
 # ---------------------------------------------------------------- synthesis
@@ -134,6 +135,40 @@ SYNTH_DIGESTS = {
 def test_synthetic_masks_keep_their_bits(shape, family, holes):
     spec = SynthSpec(count=6, shape=shape, family=family, holes=holes, seed=17)
     assert _masks_digest(synth_masks(spec)) == SYNTH_DIGESTS[shape, family, holes]
+
+
+# SHA-256 of synth_dataset's images and masks, recorded from the synthesis
+# that drew each mask's shapes with its own generator. A 2-D disk takes 3
+# shape words, so its image starts from half an output; a 3-D disk takes 4.
+# Holes draw from the same stream before the image noise, and 2**40 + 3 is a
+# seed of two words
+DATASET_DIGESTS = {
+    "disks-64x64": ((64, 64), "disks", None, 17,
+                    "9c3a76629841f191f6dd3b3c22b9a1acb985ab986747156d2fdcc8a9e27b6c51"),
+    "disks-24x24x24": ((24, 24, 24), "disks", None, 17,
+                       "833c216137feb2207b29467408cc99b4c5ccc4f4a8f1dcc0f591049bd6a6440d"),
+    "ellipse-unions-holes-64x64": ((64, 64), "ellipse-unions", (2, 1), 17,
+                                   "eb58ddebd60f4f3a32981640ea1ecf19a817d8d5ea39f7cd5ce42c1a37f4c08f"),
+    "disks-holes-seed-2**40+3": ((32, 32), "disks", (1, 1), 2**40 + 3,
+                                 "780044a9240c465d55313ba901c6f112f1405bf4307091e9f1ef8afb913e6d63"),
+}
+
+
+@pytest.mark.parametrize("block", [None, 2], ids=["one-block", "blocks-of-2"])
+@pytest.mark.parametrize("case", list(DATASET_DIGESTS))
+def test_synthetic_images_keep_their_bits(monkeypatch, case, block):
+    from segnoise import harness
+
+    if block:  # masks whose shapes are drawn a block at a time keep their bits
+        monkeypatch.setattr(harness, "_POOL_BLOCK", block)
+    shape, family, holes, seed, digest = DATASET_DIGESTS[case]
+    images, masks = synth_dataset(SynthSpec(count=5, shape=shape, family=family,
+                                            holes=holes, seed=seed))
+    h = hashlib.sha256()
+    for img, m in zip(images, masks):
+        h.update(img.tobytes())
+        h.update(np.ascontiguousarray(m, dtype=np.uint8).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_centered_disk_default_radius():
@@ -306,12 +341,16 @@ def test_a_pool_crop_is_the_mask_box_grown_by_two_inside_the_grid(monkeypatch, f
     from segnoise.sdf import _box
 
     drawn = []
-    spy(monkeypatch, harness, "_draw_balls", drawn)
+    spy(monkeypatch, harness, "_batch_balls", drawn)
     for shape in ((12, 12), (12, 30), (32, 32), (64, 64), (256, 256),
                   (12, 12, 12), (24, 24, 24), (40, 24, 32)):
+        drawn.clear()
+        masks = list(synth_masks(SynthSpec(count=150, shape=shape, family=family, seed=4)))
+        centers = np.concatenate([c for c, _, _ in drawn]).tolist()
+        radii = np.concatenate([r for _, r, _ in drawn]).tolist()
         at_first = at_last = 0
-        for mask in synth_masks(SynthSpec(count=150, shape=shape, family=family, seed=4)):
-            balls = drawn[-1]
+        for mask, cs, rs in zip(masks, centers, radii, strict=True):
+            balls = [(c, r) for c, r in zip(cs, rs) if r[0]]
             crop = [(min(c[a] - r[a] for c, r in balls) - 2,
                      max(c[a] + r[a] for c, r in balls) + 3) for a in range(len(shape))]
             assert crop == [(b.start - 2, b.stop + 2) for b in _box(mask)]
@@ -360,10 +399,9 @@ def test_the_pool_computes_each_distinct_crop_once(monkeypatch):
     for k, balls in enumerate(geometries):
         for slot, (c, r) in enumerate(balls):
             centers[k, slot], radii[k, slot] = c, r
+    # and no generator: these masks draw nothing past their shapes
     monkeypatch.setattr(harness, "_batch_balls",
-                        lambda spec, lo, hi: (centers[lo:hi], radii[lo:hi]))
-    draws = iter(geometries)  # synth_masks' draws, one mask at a time
-    monkeypatch.setattr(harness, "_draw_balls", lambda rng, spec: next(draws))
+                        lambda spec, lo, hi: (centers[lo:hi], radii[lo:hi], repeat(None)))
     calls = []
 
     def counted(mask):
@@ -418,14 +456,19 @@ def test_pools_keep_their_bits(monkeypatch, case, block):
                          ids=lambda shape: "x".join(map(str, shape)))
 def test_the_batch_draw_is_each_masks_draw(family, shape):
     # two calls, the second starting mid-stream, against one generator a mask
+    # and each mask's generator stands where its own stands after the draw
     from segnoise import harness
 
     spec = SynthSpec(count=2100, shape=shape, family=family, seed=6)
-    parts = [harness._batch_balls(spec, 0, 1000), harness._batch_balls(spec, 1000, 2100)]
-    centers, radii = (np.concatenate(arrays) for arrays in zip(*parts))
-    got = [[(tuple(c), tuple(r)) for c, r in zip(cs, rs) if r[0]]
-           for cs, rs in zip(centers.tolist(), radii.tolist())]
-    assert got == [harness._draw_balls(rng, spec) for rng in harness._mask_rngs(spec)]
+    children = np.random.SeedSequence(6).spawn(2100)
+    for lo, hi in ((0, 1000), (1000, 2100)):
+        centers, radii, rngs = harness._batch_balls(spec, lo, hi)
+        for cs, rs, rng, child in zip(centers.tolist(), radii.tolist(), rngs, children[lo:hi],
+                                      strict=True):
+            own = np.random.default_rng(child)
+            assert ([(tuple(c), tuple(r)) for c, r in zip(cs, rs) if r[0]]
+                    == reference_balls(own, shape, family))
+            assert rng.bit_generator.state == own.bit_generator.state
 
 
 def test_a_grid_side_that_numpy_draws_another_way_is_refused():
@@ -448,11 +491,10 @@ def no_draw(*args):
 
 
 def test_the_worked_example_pool_draws_through_no_generator(monkeypatch):
-    from segnoise import harness, noise
+    from segnoise import _seeds, noise
 
-    for module, name in ((harness, "_draw_balls"), (harness, "_child_rngs"),
-                         (noise, "_child_rngs")):
-        monkeypatch.setattr(module, name, no_draw)
+    for module in (_seeds, noise):
+        monkeypatch.setattr(module, "_child_rngs", no_draw)
     inputs = ValidationBoundInputs(eps0=1.0, eps1=20.0, eps=2.0, alpha=0.05, image_size=65536)
     rep = verify_validation_bound(inputs, n_trials=5, seed=1)
     assert rep.measurements["pool_size"] == 3156

@@ -364,9 +364,9 @@ def test_forked_mc_is_the_mean_of_generate_over_the_child_seeds(monkeypatch, cpu
                                      2**160 + 12345, [3, 2**40 + 7]])
 @pytest.mark.parametrize("lo,hi", [(0, 3), (254, 258), (250, 1300), (2**32 - 3, 2**32)])
 def test_child_generators_are_the_spawned_children(entropy, lo, hi):
-    from segnoise import noise
+    from segnoise import _seeds
 
-    for i, rng in zip(range(lo, hi), noise._child_rngs(entropy, lo, hi), strict=True):
+    for i, rng in zip(range(lo, hi), _seeds._child_rngs(entropy, lo, hi), strict=True):
         child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
         assert rng.bit_generator.state == child.bit_generator.state
         assert np.array_equal(rng.random(300), child.random(300))
@@ -378,20 +378,20 @@ def test_child_generators_are_the_spawned_children(entropy, lo, hi):
 
 @pytest.mark.parametrize("lo,hi", [(0, 3), (1000, 1030), (2**32 - 3, 2**32)])
 def test_child_outputs_are_the_spawned_childrens_raw_draws(lo, hi):
-    from segnoise import noise
+    from segnoise import _seeds
 
     entropy = 0xdc2ec76571bb702f7d3dc70b632b0366
-    out = noise._child_outputs(noise._words(entropy), lo, hi, 5)
+    out = _seeds._child_outputs(_seeds._words(entropy), lo, hi, 5)
     for i, row in zip(range(lo, hi), out, strict=True):
         child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
         assert np.array_equal(row, child.bit_generator.random_raw(5))
 
 
 def test_no_child_past_the_first_spawn_key_word_is_seeded():
-    from segnoise import noise
+    from segnoise import _seeds
 
     with pytest.raises(ValueError, match=r"^child indices must be below 2\*\*32, got up to 4294967296$"):
-        next(noise._child_rngs(5, 2**32 - 1, 2**32 + 1))
+        next(_seeds._child_rngs(5, 2**32 - 1, 2**32 + 1))
 
 
 def test_the_bounded_decode_is_the_generators_integers():
@@ -399,10 +399,10 @@ def test_the_bounded_decode_is_the_generators_integers():
     # past the two words a child starts with; a range of one value takes no
     # word, a child that does not draw takes none either, and 2**32 - 1
     # values is the widest range numpy draws this way
-    from segnoise import noise
+    from segnoise import _seeds
 
     n = 1200
-    draws = noise._ChildIntegers(7, 0, n, 2)
+    draws = _seeds._ChildIntegers(7, 0, n, 2)
     odd = np.arange(n) % 2 == 1
     got = []
     for _ in range(6):
@@ -418,6 +418,32 @@ def test_the_bounded_decode_is_the_generators_integers():
             want += [rng.integers(0, 2**31 + 1), rng.integers(5, 6),
                      rng.integers(i, i + 9) if i % 2 else 0, rng.integers(1, 2**32)]
         assert got[i].tolist() == want
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 40), (2**32 - 40, 2**32)])
+def test_a_placed_generator_stands_where_the_childs_own_does(lo, hi):
+    # every fourth child draws nothing, one in four draws from 2**31 + 1
+    # values, which rejects about half of all words, one draws once from 9
+    # values (one word: a buffered half) and one twice (two words)
+    from segnoise import _seeds
+
+    entropy = 0xdc2ec76571bb702f7d3dc70b632b0366
+    kind = np.arange(hi - lo) % 4
+    draws = _seeds._ChildIntegers(entropy, lo, hi, 2)
+    draws.integers(0, 2**31 + 1, kind == 1)
+    draws.integers(0, 9, kind >= 2)
+    draws.integers(0, 9, kind == 3)
+    used = draws.cursor
+    assert 0 in used and 1 in used and 2 in used and (used[kind == 1] > 1).any()
+    for i, k, rng in zip(range(lo, hi), kind, draws.rngs(), strict=True):
+        child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+        if k == 1:
+            child.integers(0, 2**31 + 1)
+        for _ in range(k // 2 + k // 3):
+            child.integers(0, 9)
+        assert rng.bit_generator.state == child.bit_generator.state
+        assert np.array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
+                              child.integers(2**32, size=3, dtype=np.uint32))
 
 
 def moved(key, shift):
@@ -440,18 +466,18 @@ def moved(key, shift):
 @pytest.mark.parametrize("key,shift", [("inc", 2), ("state", 1), ("has_uint32", 0),
                                        ("uinteger", 7)])
 def test_an_unrecognised_state_layout_raises_before_any_draw(monkeypatch, key, shift):
-    from segnoise import noise
+    from segnoise import _seeds
 
     monkeypatch.setattr(np.random, "PCG64", moved(key, shift))
-    noise._pcg64_layout.cache_clear()
+    _seeds._pcg64_layout.cache_clear()
     try:
-        children = noise._child_rngs(5, 0, 3)
+        children = _seeds._child_rngs(5, 0, 3)
         with pytest.raises(RuntimeError, match=f"^numpy {re.escape(np.__version__)}: PCG64 "):
             next(children)
         with pytest.raises(RuntimeError, match="child generators cannot be seeded$"):
             expected_label_mc(centered_disk((9, 9), radius=2), params(), 10)
     finally:
-        noise._pcg64_layout.cache_clear()
+        _seeds._pcg64_layout.cache_clear()
 
 
 def raw_memory_uses(path):
@@ -472,13 +498,13 @@ def raw_memory_uses(path):
     return uses
 
 
-def test_only_the_noise_module_touches_raw_memory():
+def test_only_the_seeds_module_touches_raw_memory():
     # so that the write of a generator's state words stays in one place
-    from segnoise import noise
+    from segnoise import _seeds
 
-    package = Path(noise.__file__).parent
-    assert raw_memory_uses(package / "noise.py")  # the check sees what it looks for
-    others = sorted(set(package.glob("*.py")) - {package / "noise.py"})
+    package = Path(_seeds.__file__).parent
+    assert raw_memory_uses(package / "_seeds.py")  # the check sees what it looks for
+    others = sorted(set(package.glob("*.py")) - {package / "_seeds.py"})
     assert others
     assert [use for path in others for use in raw_memory_uses(path)] == []
 
