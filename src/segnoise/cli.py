@@ -283,14 +283,14 @@ def _cmd_correct(args) -> int:
 
 def _train_cfg(args) -> TrainConfig:
     return TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2,
-                       feature_radii=tuple(args.radii), seed=args.seed)
+                       feature_radii=tuple(args.radii))
 
 
 def _cmd_train(args) -> int:
     model = LogisticSegmenter(_train_cfg(args))  # a bad flag exits before any file is read
     images = [_load_image(p) for p in _grid_files(args.images_dir)]
     labels = [load_mask(p) for p in _grid_files(args.labels_dir)]
-    model.fit(images, labels, args.seed)
+    model.fit(images, labels)
     Path(args.out).write_text(model.to_json(), encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
@@ -332,7 +332,7 @@ def _cmd_sc_run(args) -> int:
     records = []  # each finished round rewrites what a failure in a later one leaves
     try:
         for record, labels in _rounds(train_images, train_labels, val_images, val_masks,
-                                      model, params, args.seed, truth):
+                                      model, params, truth):
             (out / "corrected").mkdir(parents=True, exist_ok=True)
             write_report(records + [record], out / "report.csv")
             for path, label in zip(label_files, labels):
@@ -344,8 +344,6 @@ def _cmd_sc_run(args) -> int:
     except _DATA_ERRORS as e:
         print(f"error: {e} (in round {len(records)})", file=sys.stderr)
         return 2
-    if isinstance(model, LogisticSegmenter):  # also after a refit that went blank
-        (out / "model.json").write_text(model.to_json(), encoding="utf-8")
     last = records[-1]
     print(f"finished after {last.iteration + 1} fits; final delta_hat {last.delta_hat!r}, "
           f"val_dsc {last.val_dsc!r}; report at {out / 'report.csv'}")
@@ -492,7 +490,6 @@ def build_parser() -> _Parser:
     p.add_argument("--images-dir", required=True)
     p.add_argument("--labels-dir", required=True)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=_cmd_train)
 
@@ -512,7 +509,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iters", type=int, default=5)
     p.add_argument("--stop-threshold", type=float, default=1.0)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--external-dir", default=None,
                    help="serve fits through this directory instead of training locally")
     p.add_argument("--poll-interval", type=float, default=0.5,

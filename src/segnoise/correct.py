@@ -230,7 +230,6 @@ def spatial_correction(train_images: Sequence[np.ndarray],
                        model: Segmenter,
                        params: CorrectionParams | None = None,
                        *,
-                       seed: int = 0,
                        train_truth: Sequence[np.ndarray] | None = None) -> SpatialCorrectionResult:
     """Train on noisy labels, then iteratively unbias them.
 
@@ -248,13 +247,13 @@ def spatial_correction(train_images: Sequence[np.ndarray],
     final labels, and one IterationRecord per fit whose bias was estimated.
     """
     rounds = list(_rounds(train_images, train_labels, val_images, val_masks,
-                          model, params or CorrectionParams(), seed, train_truth))
+                          model, params or CorrectionParams(), train_truth))
     return SpatialCorrectionResult(model=model, labels=rounds[-1][1],
                                    records=[record for record, _ in rounds])
 
 
 def _rounds(train_images, train_labels, val_images, val_masks, model: Segmenter,
-            params: CorrectionParams, seed: int,
+            params: CorrectionParams,
             train_truth) -> Iterator[tuple[IterationRecord, list[np.ndarray]]]:
     """spatial_correction's loop. After each finished round it yields that
     round's record and the loop's own list of labels: relabelled when the loop
@@ -278,7 +277,7 @@ def _rounds(train_images, train_labels, val_images, val_masks, model: Segmenter,
 
     labels = [as_mask(l).copy() for l in train_labels]
     lam_mean = float("nan")
-    model.fit(train_images, labels, seed)
+    model.fit(train_images, labels)
     for iteration in range(params.max_iters + 1):
         pred_sdfs: list[np.ndarray | None] = []
         dscs = []
@@ -313,4 +312,4 @@ def _rounds(train_images, train_labels, val_images, val_masks, model: Segmenter,
             labels[i] = threshold(corrected, 0.0, mode="ge")
         lam_mean = float(np.mean(lams)) if lams else float("nan")
         yield record, labels
-        model.fit(train_images, labels, seed)
+        model.fit(train_images, labels)

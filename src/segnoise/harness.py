@@ -559,11 +559,10 @@ def _apply_noise(noise: LabelNoise, mask: np.ndarray, seed: int) -> np.ndarray:
 _FIT_GRAIN = 600_000
 
 
-def _fit_arms(cfg: TrainConfig, images: list, label_sets: list, seed: int,
-              lo: int, hi: int) -> list:
+def _fit_arms(cfg: TrainConfig, images: list, label_sets: list, lo: int, hi: int) -> list:
     """Fresh models fitted on ``label_sets[lo:hi]``, one per label set: the
     clean training masks and each distinct noise's labels of ``_pipelines``."""
-    return [LogisticSegmenter(cfg).fit(images, label_sets[i], seed) for i in range(lo, hi)]
+    return [LogisticSegmenter(cfg).fit(images, label_sets[i]) for i in range(lo, hi)]
 
 
 def _mean_test_dsc(model, images, masks) -> float:
@@ -621,7 +620,7 @@ def _pipelines(spec: SynthSpec, cells: list, correction: CorrectionParams | None
     label_sets = [masks[tr], *noisy.values()]
     site_epochs = sum(x.size for x in images[tr]) * train_cfg.epochs
     parts = map_ranges(_fit_arms, len(label_sets), len(label_sets) * site_epochs // _FIT_GRAIN,
-                       train_cfg, images[tr], label_sets, seed)
+                       train_cfg, images[tr], label_sets)
     models = [model for part in parts for model in part]
     dscs = [_mean_test_dsc(model, images[te], masks[te]) for model in models]
     arm = {noise: k for k, noise in enumerate(noisy, 1)}  # its label set, model and Dice
@@ -629,7 +628,7 @@ def _pipelines(spec: SynthSpec, cells: list, correction: CorrectionParams | None
     for noise, used in cells:
         va = slice(n_train, n_train + used)
         sc = spatial_correction(images[tr], noisy[noise], images[va], masks[va],
-                                copy.deepcopy(models[arm[noise]]), correction, seed=seed,
+                                copy.deepcopy(models[arm[noise]]), correction,
                                 train_truth=masks[tr])
         metrics = [{"arm": name, "seed": seed, "test_dsc": dsc} for name, dsc in (
             ("clean", dscs[0]), ("noisy", dscs[arm[noise]]),

@@ -1,6 +1,6 @@
 """Trainable per-pixel segmenters.
 
-The segmenter contract is deliberately small: ``fit(images, labels, seed)``
+The segmenter contract is deliberately small: ``fit(images, labels)``
 trains from scratch and ``predict_logits(image)`` returns a per-site score
 field whose sign is the predicted label (>= 0 means foreground). Anything
 honoring that contract can drive the correction loop, including a process
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from . import _fanout
+from . import _fanout, formats
 from .grid import as_field, as_mask
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
 class Segmenter(Protocol):
     """Anything that can be trained on masks and scored per site."""
 
-    def fit(self, images: Sequence[np.ndarray], labels: Sequence[np.ndarray],
-            seed: int | None = None) -> "Segmenter": ...
+    def fit(self, images: Sequence[np.ndarray],
+            labels: Sequence[np.ndarray]) -> "Segmenter": ...
 
     def predict_logits(self, image: np.ndarray) -> np.ndarray: ...
 
@@ -53,7 +53,6 @@ class TrainConfig:
     epochs: int = 400
     l2: float = 1e-4
     feature_radii: tuple[int, ...] = (1, 3)
-    seed: int = 0
 
     def __post_init__(self):
         # NaN fails no comparison, so finiteness is checked first
@@ -181,18 +180,16 @@ class LogisticSegmenter:
     """Per-pixel logistic regression on intensity and box-mean features.
 
     Trained by full-batch gradient descent from zero weights, so a fit is a
-    pure function of the data and config; ``seed`` is accepted for contract
-    compatibility and recorded but does not influence the result.
+    pure function of the data and config: it draws nothing.
     """
 
     def __init__(self, cfg: TrainConfig | None = None):
         self.cfg = cfg or TrainConfig()
         self.weights: np.ndarray | None = None
         self.losses: list[float] = []
-        self.seed: int | None = None
         self._fitted_on: tuple | None = None
 
-    def fit(self, images, labels, seed=None):
+    def fit(self, images, labels):
         """Train from zero weights for ``cfg.epochs`` full-batch steps.
 
         Each epoch is one ``loss_and_grad`` call in this process, which sums
@@ -203,9 +200,8 @@ class LogisticSegmenter:
         it. The helper is reaped before ``fit`` returns or raises.
 
         Refitting on the same design matrix and labels as the model's last
-        fit is a no-op apart from recording ``seed``: the weights and losses
-        it would compute are the ones already held. Only digests of the data
-        are kept, not the data.
+        fit is a no-op: the weights and losses it would compute are the ones
+        already held. Only digests of the data are kept, not the data.
         """
         if len(images) != len(labels) or not images:
             raise ValueError("need equally many images and label masks, at least one")
@@ -242,7 +238,6 @@ class LogisticSegmenter:
             self.weights = w
             self.losses = losses
             self._fitted_on = fitted_on
-        self.seed = self.cfg.seed if seed is None else seed
         return self
 
     def predict_logits(self, image):
@@ -266,14 +261,14 @@ class LogisticSegmenter:
                 "epochs": self.cfg.epochs,
                 "l2": self.cfg.l2,
                 "feature_radii": list(self.cfg.feature_radii),
-                "seed": self.cfg.seed,
             },
         }, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "LogisticSegmenter":
         """The model that ``to_json`` wrote. Raises ValueError, saying what is
-        wrong, for any other text."""
+        wrong, for any other text. A ``config.seed``, which older files hold,
+        is ignored."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"a model file holds a JSON object, not a {type(doc).__name__}")
@@ -282,16 +277,14 @@ class LogisticSegmenter:
         c = doc.get("config")
         if not isinstance(c, dict):
             raise ValueError(f"'config' must be an object, got {c!r}")
-        missing = [k for k in ("learning_rate", "epochs", "l2", "feature_radii", "seed")
-                   if k not in c]
+        missing = [k for k in ("learning_rate", "epochs", "l2", "feature_radii") if k not in c]
         if missing:
             raise ValueError(f"'config' lacks {', '.join(map(repr, missing))}")
         for key in ("learning_rate", "l2"):
             if not _is_number(c[key]):
                 raise ValueError(f"'config.{key}' must be a finite number, got {c[key]!r}")
-        for key in ("epochs", "seed"):
-            if not _is_int(c[key]):
-                raise ValueError(f"'config.{key}' must be an integer, got {c[key]!r}")
+        if not _is_int(c["epochs"]):
+            raise ValueError(f"'config.epochs' must be an integer, got {c['epochs']!r}")
         radii = c["feature_radii"]
         if not (isinstance(radii, list) and all(_is_int(r) for r in radii)):
             raise ValueError(f"'config.feature_radii' must be a list of integers, got {radii!r}")
@@ -300,7 +293,7 @@ class LogisticSegmenter:
             raise ValueError(f"'weights' must be a list of {n} finite numbers "
                              f"(2 + {len(radii)} feature radii), got {w!r}")
         model = cls(TrainConfig(learning_rate=c["learning_rate"], epochs=c["epochs"],
-                                l2=c["l2"], feature_radii=tuple(radii), seed=c["seed"]))
+                                l2=c["l2"], feature_radii=tuple(radii)))
         model.weights = np.asarray(w, dtype=np.float64)
         return model
 
@@ -350,13 +343,10 @@ class ExternalSegmenter:
 
     def __init__(self, root, train_images, val_images,
                  poll_interval: float = 0.5, timeout: float | None = None):
-        from . import formats  # local import: formats has no model dependency
-
         if not (math.isfinite(poll_interval) and poll_interval > 0):
             raise ValueError(f"poll_interval must be positive and finite, got {poll_interval}")
         if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"timeout must be positive and finite, got {timeout}")
-        self._formats = formats
         self.root = Path(root)
         used = sorted(p.name for p in self.root.glob("round_*")
                       if p.is_dir() and p.name[len("round_"):].isdigit())
@@ -376,7 +366,7 @@ class ExternalSegmenter:
         for i, img in enumerate(self._val):
             formats.save_field(img, img_dir / f"val_{i:05d}.gtf")
 
-    def fit(self, images, labels, seed=None):
+    def fit(self, images, labels):
         if len(images) != len(self._train):
             raise ValueError("fit() must receive the registered training images")
         for given, registered in zip(images, self._train):
@@ -388,14 +378,14 @@ class ExternalSegmenter:
         rdir = self.root / f"round_{self._round:03d}"
         (rdir / "labels").mkdir(parents=True)
         for i, lbl in enumerate(labels):
-            self._formats.save_mask(as_mask(lbl), rdir / "labels" / f"train_{i:05d}.gtf")
+            formats.save_mask(as_mask(lbl), rdir / "labels" / f"train_{i:05d}.gtf")
         (rdir / "LABELS_DONE").touch()
         self._wait_for(rdir / "DONE")
         self._logits = {}
         for split, imgs in (("train", self._train), ("val", self._val)):
             for i, img in enumerate(imgs):
                 path = rdir / "logits" / f"{split}_{i:05d}.gtf"
-                field = self._formats.load_field(path)
+                field = formats.load_field(path)
                 if field.shape != img.shape:
                     raise ValueError(f"{path}: logits have shape {field.shape}, "
                                      f"its image has shape {img.shape}")

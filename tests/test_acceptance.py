@@ -287,7 +287,7 @@ def run_every_command(capsys, root: Path) -> tuple[dict[str, str], str]:
     run("estimate-bias", "--pred-dir", labels, "--clean-dir", ds / "masks",
         "--out", root / "gaps.csv")
     run("train", "--images-dir", ds / "images", "--labels-dir", labels,
-        "--epochs", 40, "--seed", 6, "--out", root / "model.json")
+        "--epochs", 40, "--out", root / "model.json")
     run("predict", "--model", root / "model.json", "--images-dir", ds / "images",
         "--out-dir", root / "logits")
     run("correct", "--logits-dir", root / "logits", "--delta", "-1.2",
@@ -295,7 +295,7 @@ def run_every_command(capsys, root: Path) -> tuple[dict[str, str], str]:
     run("sc-run", "--train-images", ds / "images", "--train-labels", labels,
         "--val-images", val / "images", "--val-masks", val / "masks",
         "--truth-dir", ds / "masks", "--max-iters", 1, "--epochs", 40,
-        "--seed", 7, "--out", root / "sc")
+        "--out", root / "sc")
     run("verify", "lemma1", "--theta1", 0.7, "--theta2", 0.9, "--samples", 2000,
         "--size", "16x16", "--seed", 8, "--threads", 2, "--out", root / "lemma.csv")
     run("verify", "theorem1", "--eps0", 0.5, "--eps1", 2, "--eps", 1,

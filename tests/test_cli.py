@@ -9,6 +9,7 @@ after the package is installed. A few more run the CLI in a fresh
 interpreter to see which modules a cold start and a command load.
 """
 
+import argparse
 import hashlib
 import json
 import re
@@ -26,7 +27,7 @@ import pytest
 from segnoise import (CorrectionParams, LogisticSegmenter, MarkovNoiseParams, TrainConfig,
                       TrainingDivergedError, centered_disk, dilate_one, estimate_bias,
                       generate, sdf_gap, signed_distance, spatial_correction, write_report)
-from segnoise.cli import build_parser, main
+from segnoise.cli import _seed, build_parser, main
 from segnoise.formats import load_field, load_mask, save_field, save_mask
 from _oracles import run_fresh
 
@@ -120,6 +121,27 @@ SEEDED_COMMANDS = {
                         "--alpha", "0.05", "--image-size", "65536"],
     "sweep": ["sweep", "--kind", "val_size", "--values", "2", "--out", "unused"],
 }
+
+
+def seed_flags(parser: argparse.ArgumentParser, command=()) -> dict:
+    """``{command: its --seed action}`` over every subcommand of ``parser``."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(seed_flags(sub, (*command, name)))
+        elif "--seed" in action.option_strings:
+            found[" ".join(command)] = action
+    return found
+
+
+def test_every_seed_flag_is_checked_and_a_fit_takes_none():
+    # the test below feeds -1 to each command of SEEDED_COMMANDS: they must
+    # be every command that has a --seed
+    flags = seed_flags(build_parser())
+    assert sorted(flags) == sorted(SEEDED_COMMANDS)
+    assert all(action.type is _seed for action in flags.values())
+    assert not {"train", "sc-run"} & set(flags)
 
 
 @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
@@ -414,17 +436,49 @@ def test_predict_same_model_same_bytes(tmp_path, capsys):
     assert tree_digest(tmp_path / "p1") == tree_digest(tmp_path / "p2")
 
 
-def test_train_same_seed_same_model(tmp_path, capsys):
+def test_train_twice_same_model(tmp_path, capsys):
     images_dir, masks_dir = make_dataset(capsys, tmp_path / "ds", count=3)
     for name in ("m1.json", "m2.json"):
         rc, _, _ = run(capsys, "train", "--images-dir", str(images_dir),
                        "--labels-dir", str(masks_dir), "--epochs", "40",
-                       "--seed", "6", "--out", str(tmp_path / name))
+                       "--out", str(tmp_path / name))
         assert rc == 0
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
-_CONFIG = {"learning_rate": 0.5, "epochs": 10, "l2": 0.0001, "feature_radii": [1], "seed": 0}
+@pytest.mark.parametrize("command", ["train", "sc-run"])
+def test_a_fit_command_refuses_a_seed(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    flags = {"train": ["--images-dir", "i", "--labels-dir", "l"],
+             "sc-run": ["--train-images", "i", "--train-labels", "l",
+                        "--val-images", "v", "--val-masks", "m"]}[command]
+    rc, out, err = run(capsys, command, *flags, "--seed", "1", "--out", "unused")
+    assert (rc, out) == (1, "")
+    assert err == "usage error: unrecognized arguments: --seed 1\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_predict_reads_a_model_file_with_or_without_a_seed(tmp_path, capsys):
+    # files written before the fit lost its seed hold config.seed; it is ignored
+    images_dir, masks_dir = make_dataset(capsys, tmp_path / "ds", count=3)
+    trained = tmp_path / "model.json"
+    run(capsys, "train", "--images-dir", str(images_dir), "--labels-dir", str(masks_dir),
+        "--epochs", "40", "--out", str(trained))
+    doc = json.loads(trained.read_text(encoding="utf-8"))
+    for name, seed in (("old", {"seed": 6}), ("new", {})):
+        config = {k: v for k, v in doc["config"].items() if k != "seed"} | seed
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps(dict(doc, config=config), indent=2, sort_keys=True) + "\n",
+                         encoding="utf-8")
+        rc, _, err = run(capsys, "predict", "--model", str(model), "--images-dir",
+                         str(images_dir), "--out-dir", str(tmp_path / name))
+        assert (rc, err) == (0, "")
+    assert tree_digest(tmp_path / "new") == tree_digest(tmp_path / "old")
+    assert len(tree_digest(tmp_path / "new")) == 3
+    assert sorted(doc["config"]) == ["epochs", "feature_radii", "l2", "learning_rate"]
+
+
+_CONFIG = {"learning_rate": 0.5, "epochs": 10, "l2": 0.0001, "feature_radii": [1]}
 
 
 @pytest.mark.parametrize("text, detail", [
@@ -439,13 +493,10 @@ _CONFIG = {"learning_rate": 0.5, "epochs": 10, "l2": 0.0001, "feature_radii": [1
     ('{"kind": "logistic", "weights": [0, 1e999, 0], "config": %s}' % json.dumps(_CONFIG),
      "'weights' must be a list of 3 finite numbers"),
     (json.dumps({"kind": "logistic", "weights": [0.0, 0.0, 0.0],
-                 "config": dict(_CONFIG, seed=None)}),
-     "'config.seed' must be an integer, got None"),
-    (json.dumps({"kind": "logistic", "weights": [0.0, 0.0, 0.0],
                  "config": {k: v for k, v in _CONFIG.items() if k != "l2"}}),
      "'config' lacks 'l2'"),
 ], ids=["array", "config-list", "not-json", "no-config", "two-weights", "infinite-weight",
-        "seed-null", "no-l2"])
+        "no-l2"])
 def test_predict_names_a_malformed_model_file(tmp_path, capsys, text, detail):
     model = tmp_path / "model.json"
     model.write_text(text, encoding="utf-8")
@@ -476,8 +527,7 @@ def test_sc_run_local_trainer(tmp_path, capsys):
     rc, text, _ = run(capsys, "sc-run", "--train-images", str(images_dir),
                       "--train-labels", str(labels_dir), "--val-images", str(val_images),
                       "--val-masks", str(val_masks), "--truth-dir", str(masks_dir),
-                      "--max-iters", "2", "--epochs", "60", "--seed", "4",
-                      "--out", str(out))
+                      "--max-iters", "2", "--epochs", "60", "--out", str(out))
     assert rc == 0
     assert "finished after" in text
     report = (out / "report.csv").read_text().splitlines()
@@ -490,7 +540,7 @@ def test_sc_run_local_trainer(tmp_path, capsys):
 def noisy_run_flags(capsys, root: Path, steps=6) -> list[str]:
     """sc-run's input flags for 10 training images of 32² whose labels carry
     ``steps`` steps of growing noise, the clean masks as truth, and 4
-    validation pairs. At ``--max-iters 3 --epochs 60 --seed 4`` the loop runs
+    validation pairs. At ``--max-iters 3 --epochs 60`` the loop runs
     4 rounds after 6 steps; after 10, its first refit predicts no boundary,
     which ends the loop after round 0."""
     images_dir, masks_dir = make_dataset(capsys, root / "train", count=10,
@@ -514,18 +564,18 @@ def test_sc_run_writes_what_spatial_correction_returns(tmp_path, capsys, steps, 
     flags = noisy_run_flags(capsys, tmp_path, steps)
     out = tmp_path / "run"
     rc, _, _ = run(capsys, "sc-run", *flags, "--max-iters", "3", "--epochs", "60",
-                   "--seed", "4", "--out", str(out))
+                   "--out", str(out))
     assert rc == 0
     dirs = dict(zip(flags[0::2], map(Path, flags[1::2])))
 
     def load(flag, loader):
         return [loader(p) for p in sorted(dirs[flag].iterdir())]
-    model = LogisticSegmenter(TrainConfig(epochs=60, seed=4))
+    train_images = load("--train-images", lambda p: load_field(p).astype(np.float64))
+    model = LogisticSegmenter(TrainConfig(epochs=60))
     result = spatial_correction(
-        load("--train-images", lambda p: load_field(p).astype(np.float64)),
-        load("--train-labels", load_mask),
+        train_images, load("--train-labels", load_mask),
         load("--val-images", lambda p: load_field(p).astype(np.float64)),
-        load("--val-masks", load_mask), model, CorrectionParams(max_iters=3), seed=4,
+        load("--val-masks", load_mask), model, CorrectionParams(max_iters=3),
         train_truth=load("--truth-dir", load_mask))
     assert len(result.records) == rounds
     write_report(result.records, tmp_path / "report.csv")
@@ -534,6 +584,12 @@ def test_sc_run_writes_what_spatial_correction_returns(tmp_path, capsys, steps, 
     assert [p.name for p in sorted((out / "corrected").iterdir())] == names
     for name, label in zip(names, result.labels):
         assert np.array_equal(load_mask(out / "corrected" / name), label)
+    # the model of the report's last row: after a refit that went blank, the
+    # first fit, on the noisy labels, not the blank one
+    if rounds == 1:
+        blank, model = model, LogisticSegmenter(TrainConfig(epochs=60)).fit(
+            train_images, load("--train-labels", load_mask))
+        assert model.to_json() != blank.to_json()
     assert (out / "model.json").read_text(encoding="utf-8") == model.to_json()
 
 
@@ -547,18 +603,17 @@ def test_sc_run_keeps_the_rounds_before_a_failed_fit(tmp_path, capsys, monkeypat
     flags = noisy_run_flags(capsys, tmp_path)
     fit, calls, seen = LogisticSegmenter.fit, [], {}
 
-    def fit_that_fails(self, images, labels, seed=None):
-        calls.append(seed)
+    def fit_that_fails(self, images, labels):
+        calls.append(1)
         if len(calls) == fail_at:  # what the rounds before this fit left
             seen["labels"] = [lbl.copy() for lbl in labels]
             seen["model"] = self.to_json() if fail_at > 1 else None
             raise error("loss diverged at epoch 7")
-        return fit(self, images, labels, seed)
+        return fit(self, images, labels)
 
     monkeypatch.setattr(LogisticSegmenter, "fit", fit_that_fails)
     out = tmp_path / "run"
-    argv = ["sc-run", *flags, "--max-iters", "3", "--epochs", "60", "--seed", "4",
-            "--out", str(out)]
+    argv = ["sc-run", *flags, "--max-iters", "3", "--epochs", "60", "--out", str(out)]
     if error is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
             main(argv)
@@ -970,7 +1025,7 @@ def test_sweep_cli_writes_the_grid(tmp_path, capsys):
 @pytest.mark.parametrize("values, bad", [("2,99", 99), ("0,2", 0)])
 def test_sweep_checks_every_value_before_the_first_fit(tmp_path, capsys, monkeypatch,
                                                        values, bad):
-    def fit(self, images, labels, seed=None):
+    def fit(self, images, labels):
         raise AssertionError("a fit started")
 
     monkeypatch.setattr(LogisticSegmenter, "fit", fit)

@@ -234,7 +234,7 @@ class MemorizingStub:
     def __init__(self):
         self._by_key = {}
 
-    def fit(self, images, labels, seed=None):
+    def fit(self, images, labels):
         self._by_key = {
             img.tobytes(): signed_distance(lbl) for img, lbl in zip(images, labels)
         }
@@ -303,9 +303,9 @@ class BlankAfterFits(MemorizingStub):
         self.good = good
         self.fits = 0
 
-    def fit(self, images, labels, seed=None):
+    def fit(self, images, labels):
         self.fits += 1
-        return super().fit(images, labels, seed)
+        return super().fit(images, labels)
 
     def predict_logits(self, image):
         if self.fits > self.good:
@@ -339,7 +339,7 @@ def test_loop_keeps_its_records_when_a_refit_goes_blank(tmp_path, caplog):
     # a blank initial fit leaves nothing to keep, so it still raises, before
     # the loop hands back any round
     rounds = _rounds(images, noisy, images, masks, BlankAfterFits(good=0),
-                     CorrectionParams(max_iters=3), 0, None)
+                     CorrectionParams(max_iters=3), None)
     with pytest.raises(ValueError, match="every validation pair was skipped"):
         next(rounds)
 
@@ -353,11 +353,11 @@ class FitFails(MemorizingStub):
         self.fail_at = fail_at
         self.fits = 0
 
-    def fit(self, images, labels, seed=None):
+    def fit(self, images, labels):
         self.fits += 1
         if self.fits == self.fail_at:
             raise TimeoutError("no DONE after 1.0s")
-        return super().fit(images, labels, seed)
+        return super().fit(images, labels)
 
 
 def test_loop_writes_the_finished_rounds_when_a_refit_raises(tmp_path):
@@ -372,7 +372,7 @@ def test_loop_writes_the_finished_rounds_when_a_refit_raises(tmp_path):
     kept = []
     with pytest.raises(TimeoutError):
         for record, labels in _rounds(images, noisy, images, masks, FitFails(fail_at=3),
-                                      CorrectionParams(max_iters=3), 0, masks):
+                                      CorrectionParams(max_iters=3), masks):
             kept.append((record, [lbl.copy() for lbl in labels]))
     write_report([record for record, _ in kept], cut)
     assert cut.read_text().splitlines() == whole.read_text().splitlines()[:3]

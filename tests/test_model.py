@@ -243,11 +243,10 @@ def test_identical_refit_is_a_no_op(monkeypatch):
     assert len(calls) == 40
     weights, losses = model.weights.copy(), list(model.losses)
 
-    model.fit([img.copy() for img in images], [lbl.copy() for lbl in labels], seed=5)
+    model.fit([img.copy() for img in images], [lbl.copy() for lbl in labels])
     assert len(calls) == 40
     assert np.array_equal(model.weights, weights)
     assert model.losses == losses
-    assert model.seed == 5
 
     flipped = [lbl.copy() for lbl in labels]
     flipped[1][0, 0] = ~flipped[1][0, 0]
@@ -271,7 +270,7 @@ def test_pipeline_sc_arm_matches_a_fresh_segmenter():
     tr, va, te = slice(0, 32), slice(32, 38), slice(38, 48)
     assert all(np.array_equal(a, b) for a, b in zip(res.train_masks, masks[tr]))
     ref = spatial_correction(images[tr], res.noisy_labels, images[va], masks[va],
-                             LogisticSegmenter(cfg), params, seed=seed,
+                             LogisticSegmenter(cfg), params,
                              train_truth=masks[tr])
     assert len(ref.records) >= 2
     assert repr(res.sc_records) == repr(ref.records)
