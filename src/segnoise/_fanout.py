@@ -33,14 +33,9 @@ computes its own range, and a process that ``multiprocessing`` started (a
 worker of the caller's own pool) run everything themselves, so two CPUs
 never carry three busy processes.
 
-Helpers are forked rather than spawned: a forked helper starts without
-re-importing numpy, scipy and segnoise, which costs a spawned one about
-0.7 s, more than most calls take. A forked helper inherits only what its
-parent had imported, though, and segnoise imports scipy at first use, not
-at ``import segnoise``. So a fan-out whose helpers call scipy imports it
-before forking, or each helper pays about 0.35 s to import it anew: the
-validation-bound pool and a smoothed Monte Carlo do so, and the arm fits
-of ``run_pipeline`` come after ``synth_dataset``, which has imported it.
+Helpers are forked rather than spawned: a forked helper starts with the
+modules its caller has imported, while a spawned one would import numpy and
+segnoise anew, which takes longer than most calls.
 
 A fork is unsafe while another thread of the caller holds a lock that the
 helper needs. segnoise starts no thread before the fork (each

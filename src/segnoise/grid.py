@@ -11,6 +11,7 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -61,6 +62,63 @@ def as_field(a) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("scalar fields must be finite everywhere")
     return np.ascontiguousarray(arr)
+
+
+# sites of one chunk of _gaussian_blur's passes, so that a chunk's slices stay
+# in cache. On a 64^3 mask at sigma 1.5 (medians of 25 alternating calls, 2
+# CPUs) 16,384 and 32,768 took 7.8 and 7.5 ms, 4,096 and 262,144 12.4 and 11.6
+_BLUR_CHUNK = 1 << 14
+
+
+def _gaussian_blur(field: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of a real or boolean field, in float64: zero outside the
+    grid, truncated at 3 sigma; the bits are fixed by the arithmetic order
+    below.
+
+    The kernel has radius ``r = int(3 sigma + 0.5)`` and weights
+    ``exp(-0.5 / sigma^2 * x^2)``, ``x = -r..r``, divided by their sum. Axes
+    are blurred one after another in axis order, each as a correlation:
+    ``out = x[i] * w[r]``, then for ``k = r, ..., 1`` in turn
+    ``out += (x[i - k] + x[i + k]) * w[r - k]``. A sigma of at most 1e-15
+    blurs nothing.
+
+    The field sits inside two buffers that pad every axis with r zeros. Each
+    axis's pass reads one buffer and writes the other over one flat range,
+    from the first inner site to the last, so that a neighbour along the
+    axis is a fixed flat offset away and every operation runs on contiguous
+    memory, ``_BLUR_CHUNK`` sites at a time. The range also covers padding
+    sites of the other axes, and every pass writes the same range. A site on
+    the padding of an axis not yet blurred is computed from sites on that
+    padding alone, so it holds 0.0 until that axis's pass reads it; the
+    values left on the padding of axes already blurred no inner site reads.
+    Returns a view of the inner sites of the last buffer written.
+    """
+    if not sigma > 1e-15:
+        return np.array(field, dtype=np.float64)
+    r = int(3.0 * float(sigma) + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    shape = field.shape
+    padded = tuple(n + 2 * r for n in shape)
+    inner = tuple(slice(r, r + n) for n in shape)
+    src, dst = np.zeros(padded), np.zeros(padded)
+    src[inner] = field
+    steps = [math.prod(padded[a + 1:]) for a in range(len(shape))]  # flat offset of one site
+    first = sum(r * s for s in steps)
+    last = first + sum((n - 1) * s for n, s in zip(shape, steps)) + 1
+    tmp = np.empty(min(_BLUR_CHUNK, last - first))
+    for s in steps:
+        x, out = src.reshape(-1), dst.reshape(-1)
+        for lo in range(first, last, _BLUR_CHUNK):
+            hi = min(lo + _BLUR_CHUNK, last)
+            o, t = out[lo:hi], tmp[:hi - lo]
+            np.multiply(x[lo:hi], w[r], out=o)
+            for k in range(r, 0, -1):
+                np.add(x[lo - k * s:hi - k * s], x[lo + k * s:hi + k * s], out=t)
+                t *= w[r - k]
+                o += t
+        src, dst = dst, src
+    return src[inner]
 
 
 def dilate_one(mask) -> np.ndarray:

@@ -9,6 +9,7 @@ reproduces every byte.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -20,7 +21,7 @@ from ._seeds import _SEED_BLOCK, _ChildIntegers
 from .bound import ValidationBoundInputs, required_validation_size
 from .correct import CorrectionParams, spatial_correction
 from .formats import save_csv
-from .grid import as_mask, dice, threshold
+from .grid import _gaussian_blur, as_mask, dice, threshold
 from .model import LogisticSegmenter, TrainConfig
 from .noise import (MarkovNoiseParams, _one_step_regime, bayes_mask_one_step, expected_label_mc,
                     generate)
@@ -115,11 +116,15 @@ def _paint(shape: tuple[int, ...], balls) -> np.ndarray:
     return mask
 
 
-def _drawn_masks(spec: SynthSpec) -> Iterator[tuple[np.ndarray, np.random.Generator]]:
+def _drawn_masks(spec: SynthSpec, images: bool) -> Iterator[tuple[np.ndarray, np.random.Generator]]:
     """Each mask of ``spec``, its ``_batch_balls`` shapes painted and then
-    holed, with the generator that drew the hole centers."""
+    holed, with the generator that drew the hole centers. A mask's generator
+    is placed only where holes or, with ``images``, an image reads it; None
+    stands in for it elsewhere."""
     for lo in range(0, spec.count, _POOL_BLOCK):
         centers, radii, rngs = _batch_balls(spec, lo, min(lo + _POOL_BLOCK, spec.count))
+        if not images and spec.holes is None:
+            rngs = itertools.repeat(None)
         for cs, rs, rng in zip(centers.tolist(), radii.tolist(), rngs):
             mask = _paint(spec.shape, [(c, r) for c, r in zip(cs, rs) if r[0]])
             if spec.holes is not None:
@@ -137,21 +142,15 @@ def _drawn_masks(spec: SynthSpec) -> Iterator[tuple[np.ndarray, np.random.Genera
 def synth_masks(spec: SynthSpec) -> Iterator[np.ndarray]:
     """The masks of synth_dataset(spec), without the images: shapes drawn per
     ``_POOL_BLOCK`` masks, each mask painted when the iteration reaches it."""
-    return (mask for mask, _ in _drawn_masks(spec))
+    return (mask for mask, _ in _drawn_masks(spec, images=False))
 
 
 def synth_dataset(spec: SynthSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Generate (images, masks). Image i continues mask i's child stream."""
-    # imported at first use, not by `import segnoise`, and also without blur:
-    # run_pipeline forks its arm fits after this, and their features need it
-    from scipy import ndimage
-
     images, masks = [], []
-    for mask, rng in _drawn_masks(spec):
-        clean = spec.contrast * (
-            ndimage.gaussian_filter(mask.astype(np.float64), spec.blur_sigma,
-                                    mode="constant", cval=0.0, truncate=3.0)
-            if spec.blur_sigma > 0 else mask.astype(np.float64))
+    for mask, rng in _drawn_masks(spec, images=True):
+        clean = spec.contrast * (_gaussian_blur(mask, spec.blur_sigma)
+                                 if spec.blur_sigma > 0 else mask.astype(np.float64))
         img = clean + spec.noise_sigma * rng.standard_normal(spec.shape)
         images.append(img)
         masks.append(mask)
@@ -410,9 +409,6 @@ def _pool_gaps(spec: SynthSpec, theta1: float, theta2: float) -> np.ndarray:
     keys = [[(tuple(c), tuple(r)) for c, r in row if r[0]]
             for row in rows.reshape(len(rows), -1, 2, ndim).tolist()]
     shapes = [_crop_shape(key) for key in keys]
-    # the helpers compute signed distances: import their scipy here, before
-    # the fork, or each helper pays about 0.35 s to import it anew
-    import scipy.ndimage  # noqa: F401
     sites = sum(map(math.prod, shapes))
     parts = map_ranges(_crop_gaps, len(keys), sites // _POOL_SITE_GRAIN, keys, theta1, theta2)
     crops = [crop for part in parts for crop in part]

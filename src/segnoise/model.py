@@ -66,6 +66,41 @@ class TrainConfig:
             raise ValueError("feature radii must be >= 1")
 
 
+def _box_mean(img: np.ndarray, r: int, out: np.ndarray) -> None:
+    """Write into ``out`` the mean of ``img`` over the box of side
+    ``s = 2r + 1`` around each site, the grid extended by repeating its edge
+    sites; the bits are fixed by the arithmetic order below.
+
+    Axes are averaged one after another in axis order. Along an axis, each
+    line is padded with r copies of its edge site at either end, to ``p``.
+    Its running sum starts as ``((0.0 + p[0]) + p[1]) + ... + p[s-1]``, adds
+    ``p[i+s-1] - p[i-1]`` at each later site ``i``, and is divided by s site
+    by site. So the terms of the sum go into one buffer, the sum is one
+    cumulative sum, and the quotients go straight into the next axis's
+    padded buffer, or into ``out``.
+    """
+    s = 2 * r + 1
+    padded = np.empty((img.shape[0] + 2 * r,) + img.shape[1:])
+    padded[r:r + img.shape[0]] = img
+    for axis, n in enumerate(img.shape):
+        head = (slice(None),) * axis
+        padded[head + (slice(0, r),)] = padded[head + (slice(r, r + 1),)]
+        padded[head + (slice(r + n, None),)] = padded[head + (slice(r + n - 1, r + n),)]
+        terms = np.empty(padded.shape)
+        # + 0.0 turns a -0.0 into the 0.0 that a sum starting from 0.0 gives
+        np.add(padded[head + (slice(0, s),)], 0.0, out=terms[head + (slice(0, s),)])
+        np.subtract(padded[head + (slice(s, None),)], padded[head + (slice(0, n - 1),)],
+                    out=terms[head + (slice(s, None),)])
+        np.add.accumulate(terms, axis=axis, out=terms)
+        if axis + 1 < img.ndim:
+            m = img.shape[axis + 1]
+            padded = np.empty(img.shape[:axis + 1] + (m + 2 * r,) + img.shape[axis + 2:])
+            target = padded[head + (slice(None), slice(r, r + m))]
+        else:
+            target = out
+        np.divide(terms[head + (slice(s - 1, None),)], s, out=target)
+
+
 def _features(image: np.ndarray, radii: tuple[int, ...],
               out: np.ndarray | None = None) -> np.ndarray:
     """Per-site design matrix: constant, intensity, and box means.
@@ -73,17 +108,14 @@ def _features(image: np.ndarray, radii: tuple[int, ...],
     The columns are written into ``out`` (rows = sites) when given, else
     into a new column-order array; either way each column is contiguous.
     """
-    from scipy import ndimage  # imported at first use: most commands never fit
-
     img = as_field(image)
     if out is None:
         out = np.empty((img.size, 2 + len(radii)), order="F")
     out[:, 0] = 1.0
     out[:, 1] = img.reshape(-1)
     for j, r in enumerate(radii, start=2):
-        try:  # the filter pads each line with r sites at either end
-            ndimage.uniform_filter(img, size=2 * r + 1, mode="nearest",
-                                   output=out[:, j].reshape(img.shape))
+        try:  # the box mean pads each line with r sites at either end
+            _box_mean(img, r, out[:, j].reshape(img.shape))
         except MemoryError:
             raise ValueError(f"feature radius {r} pads each line of a "
                              f"{'x'.join(map(str, img.shape))} image beyond the memory "

@@ -45,7 +45,7 @@ import numpy as np
 
 from ._fanout import map_ranges
 from ._seeds import _child_rngs
-from .grid import as_mask, boundary_layer, dilate_one, erode_one
+from .grid import _gaussian_blur, as_mask, boundary_layer, dilate_one, erode_one
 
 __all__ = [
     "MarkovNoiseParams",
@@ -213,11 +213,7 @@ def _run_process(mask: np.ndarray, params: MarkovNoiseParams,
     out = grid[(slice(1, -1),) * grid.ndim] == 1
     flat = out.reshape(-1)
     if params.smooth_sigma > 0:
-        from scipy import ndimage  # only a smoothed walk needs scipy
-
-        blurred = ndimage.gaussian_filter(out.astype(np.float64), params.smooth_sigma,
-                                          mode="constant", cval=0.0, truncate=3.0)
-        out = blurred >= 0.5
+        out = _gaussian_blur(out, params.smooth_sigma) >= 0.5
         flat = out.reshape(-1)
     if params.theta3 > 0:
         stable = np.flatnonzero(flat == mask.reshape(-1))  # row-major
@@ -325,10 +321,6 @@ def expected_label_mc(mask, params: MarkovNoiseParams, n_samples: int,
         raise ValueError(f"n_samples must be <= 2**32, got {n_samples}")
     entropy = np.random.SeedSequence(params.seed).entropy
     state = _walk_state(m)  # every sample starts from the same bands
-    if params.smooth_sigma > 0:
-        # each sample smooths with scipy: import it before the fork, or each
-        # helper pays about 0.35 s to import it anew
-        import scipy.ndimage  # noqa: F401
     grain = _TALLY_GRAIN if _tallies(params) else _MC_GRAIN
     parts = map_ranges(_mc_votes, n_samples, min(threads, n_samples // grain),
                        m, params, state, entropy)

@@ -45,12 +45,9 @@ def signed_distance(mask) -> np.ndarray:
     site (so the value is +/-1 on the two boundary layers). Raises
     DegenerateMaskError for uniform masks, which have no opposite side.
 
-    The city-block chamfer transform used here is exact for this metric:
-    with no obstacles, grid shortest paths have length equal to the L1
-    displacement.
+    With no obstacles, grid shortest paths have length equal to the L1
+    displacement, so the city-block transform ``_taxicab`` gives the distance.
     """
-    from scipy import ndimage  # imported at first use, not by `import segnoise`
-
     m = as_mask(mask)
     crop = _box(m)
     if crop is None:
@@ -62,7 +59,7 @@ def signed_distance(mask) -> np.ndarray:
         raise DegenerateMaskError("mask is all foreground or all background")
     box = tuple(slice(c.start + b.start, c.start + b.stop) for c, b in zip(crop, inner))
     phi = np.empty(m.shape)
-    np.add(ndimage.distance_transform_cdt(~layers[inner], metric="taxicab"), 1.0, out=phi[box])
+    np.add(_taxicab(layers[inner]), 1.0, out=phi[box])
     for axis, (b, n) in enumerate(zip(box, m.shape)):
         # the rows before and after the box along this axis, already full
         # along the axes before it and still box-sized along those after it
@@ -73,6 +70,32 @@ def signed_distance(mask) -> np.ndarray:
                 np.add(phi[head + (slice(edge, edge + 1),) + tail],
                        steps.reshape((-1,) + (1,) * len(tail)), out=phi[head + (rows,) + tail])
     return np.negative(phi, out=phi, where=m)
+
+
+def _taxicab(zero: np.ndarray) -> np.ndarray:
+    """The city-block distance from every site to the nearest true site of
+    ``zero``, which must have one, in integers.
+
+    The distance separates by axis. Start from ``d`` = 0 on true sites and
+    ``sum(zero.shape)``, more than any distance in the grid, elsewhere. Along
+    each axis in turn, every site takes the least of ``d[j] + |i - j|`` over
+    its line: ``g[i] = i + min(d[j] - j, j <= i)``, then
+    ``min(g[j] + j, j >= i) - i``. Each minimum is one in-place
+    ``minimum.accumulate``, the second over the line reversed. Every value
+    is an integer, so the result is exact.
+    """
+    big = sum(zero.shape)
+    dtype = np.int32 if 4 * big < 2**31 else np.int64  # every value stays in [-big, 3 big]
+    d = np.where(zero, dtype(0), dtype(big))
+    for axis, n in enumerate(zero.shape):
+        i = np.arange(n, dtype=dtype).reshape((n,) + (1,) * (zero.ndim - 1 - axis))
+        d -= i
+        np.minimum.accumulate(d, axis=axis, out=d)
+        d += 2 * i  # g + i
+        back = d[(slice(None),) * axis + (slice(None, None, -1),)]
+        np.minimum.accumulate(back, axis=axis, out=back)
+        d -= i
+    return d
 
 
 def _layers(m: np.ndarray) -> np.ndarray:

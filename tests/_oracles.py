@@ -3,7 +3,10 @@
 Nothing here may call into segnoise's own geometry/distance code paths. Distances
 come from explicit graph adjacency plus scipy's shortest-path solver, boundaries
 from hand-rolled neighbor loops, expectations from closed-form arithmetic, and
-synthetic shapes from the generator the caller hands in.
+synthetic shapes from the generator the caller hands in. The package's three
+numpy filters (blur, box mean, city-block distance) are held to
+scipy.ndimage's, bit for bit (``scipy_gaussian``, ``scipy_box_mean``,
+``scipy_taxicab``, compared with ``same_bits``).
 ``run_fresh`` runs code in a new interpreter, for what a running test process
 cannot show: what an import loads, what an environment variable read at
 start-up changes, or what outlives a killed process (``start_fresh``).
@@ -22,7 +25,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import distance_transform_cdt, gaussian_filter
+from scipy.ndimage import distance_transform_cdt, gaussian_filter, uniform_filter
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -117,6 +120,31 @@ def cdt_signed_distance(mask):
     to_fg = distance_transform_cdt(~m, metric="taxicab")
     to_bg = distance_transform_cdt(m, metric="taxicab")
     return (to_fg - to_bg).astype(np.float64)
+
+
+def scipy_gaussian(field, sigma):
+    """The blur that ``grid._gaussian_blur`` must match bit for bit: zero
+    outside the grid, truncated at 3 sigma."""
+    return gaussian_filter(np.asarray(field, dtype=np.float64), sigma, mode="constant",
+                           cval=0.0, truncate=3.0)
+
+
+def scipy_box_mean(image, r):
+    """The box mean that ``model._box_mean`` must match bit for bit: side
+    2r + 1, the grid extended by repeating its edge sites."""
+    return uniform_filter(np.asarray(image, dtype=np.float64), size=2 * r + 1, mode="nearest")
+
+
+def scipy_taxicab(zero):
+    """The city-block distance of every site to the nearest true site of
+    ``zero``, which ``sdf._taxicab`` must match."""
+    return distance_transform_cdt(~np.asarray(zero, dtype=bool), metric="taxicab")
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float64 arrays hold the same bits, -0.0 and 0.0 apart."""
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def one_step_expectation(mask, theta1, theta2, theta3):

@@ -1089,45 +1089,82 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 SCIPY_LOADED_AFTER = """\
-import json, sys
+import contextlib, io, json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import segnoise.cli
-loaded = {"import": scipy_modules()}
-for name, argv in %r:
-    loaded[name] = [segnoise.cli.main(argv), scipy_modules()]
-print(json.dumps(loaded))
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = segnoise.cli.main(%r)
+print(json.dumps([rc, scipy_modules()]))
 """
 
 
-def test_bound_and_an_unsmoothed_gen_noise_load_no_scipy(tmp_path):
-    # scipy takes most of a cold start to import, and neither command calls
-    # it; the commands that do import it at first use and write the same bytes
-    mask = tmp_path / "mask.gtf"
-    save_mask(centered_disk((20, 24)), mask)
+def no_scipy_commands(tmp_path: Path, capsys) -> dict:
+    """Tiny inputs, made in process, and per command a function of an output
+    directory that gives its argv, writing everything under that directory."""
+    data = tmp_path / "data"
+    images, masks = make_dataset(capsys, data, count=4, size="16x16")
+    mask = masks / "mask_00000.gtf"
+    noisy = data / "noisy"
+    noisy.mkdir()
+    for path in sorted(masks.iterdir()):
+        assert main(["gen-noise", "--mask", str(path), "-T", "2", "--theta1", "0.9",
+                     "--theta2", "0.6", "--seed", "5", "--out", str(noisy / path.name)]) == 0
+    model = data / "model.json"
+    assert main(["train", "--images-dir", str(images), "--labels-dir", str(noisy),
+                 "--epochs", "5", "--out", str(model)]) == 0
+    logits = data / "logits"
+    assert main(["predict", "--model", str(model), "--images-dir", str(images),
+                 "--out-dir", str(logits)]) == 0
+    capsys.readouterr()
     noise = ["gen-noise", "--mask", str(mask), "--preset", "tiny-se", "--seed", "4"]
+    fit = ["--epochs", "5", "--max-iters", "1"]
+    return {
+        "bound": lambda out: BOUND_ARGV,
+        "synth": lambda out: ["synth", "--count", "2", "--size", "12x14x13", "--holes", "1,1",
+                              "--seed", "3", "--out", str(out / "synth")],
+        "gen-noise": lambda out: [*noise, "--out", str(out / "noisy.gtf")],
+        "smoothed": lambda out: [*noise, "--smooth-sigma", "1", "--out",
+                                 str(out / "smoothed.gtf")],
+        "sdf": lambda out: ["sdf", "--mask", str(mask), "--out", str(out / "sdf.gtf")],
+        "train": lambda out: ["train", "--images-dir", str(images), "--labels-dir", str(noisy),
+                              "--epochs", "5", "--radii", "1,2", "--out", str(out / "model.json")],
+        "predict": lambda out: ["predict", "--model", str(model), "--images-dir", str(images),
+                                "--out-dir", str(out / "logits")],
+        "estimate-bias": lambda out: ["estimate-bias", "--pred-dir", str(noisy), "--clean-dir",
+                                      str(masks), "--out", str(out / "gaps.csv")],
+        "correct": lambda out: ["correct", "--logits-dir", str(logits), "--delta", "-1.2",
+                                "--out-dir", str(out / "corrected")],
+        "sc-run": lambda out: ["sc-run", "--train-images", str(images), "--train-labels",
+                               str(noisy), "--val-images", str(images), "--val-masks", str(masks),
+                               *fit, "--out", str(out / "sc")],
+        "lemma1": lambda out: ["verify", "lemma1", "--theta1", "0.7", "--theta2", "0.9",
+                               "--samples", "200", "--size", "16x16", "--out",
+                               str(out / "lemma.csv")],
+        "sweep": lambda out: ["sweep", "--kind", "val_size", "--values", "1", "--count", "8",
+                              "--size", "16x16", "-T", "2", "--theta1", "0.8", "--theta2", "0.6",
+                              "--epochs", "100", "--max-iters", "1", "--n-val", "2",
+                              "--n-test", "2", "--out", str(out / "sweep.csv")],
+    }
 
-    def argvs(out):
-        return [("bound", BOUND_ARGV),
-                ("gen-noise", [*noise, "--out", str(out / "noisy.gtf")]),
-                ("smoothed", [*noise, "--smooth-sigma", "1", "--out", str(out / "smoothed.gtf")]),
-                ("sdf", ["sdf", "--mask", str(mask), "--out", str(out / "sdf.gtf")])]
 
+@pytest.mark.parametrize("command", ["bound", "synth", "gen-noise", "smoothed", "sdf", "train",
+                                     "predict", "estimate-bias", "correct", "sc-run", "lemma1",
+                                     "sweep"])
+def test_every_command_but_theorem1_loads_no_scipy(tmp_path, capsys, command):
+    # scipy takes most of a cold start to import, and only the Theorem-1
+    # harness's confidence bounds call it; a command run in a fresh
+    # interpreter writes the same bytes as one run in this process
+    argv = no_scipy_commands(tmp_path, capsys)[command]
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     fresh.mkdir()
     here.mkdir()
-    proc = run_fresh(SCIPY_LOADED_AFTER % argvs(fresh))
+    proc = run_fresh(SCIPY_LOADED_AFTER % argv(fresh))
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["import"] == []
-    assert loaded["bound"] == [0, []]
-    assert loaded["gen-noise"] == [0, []]
-    assert loaded["smoothed"][0] == 0 and "scipy.ndimage" in loaded["smoothed"][1]
-    assert loaded["sdf"][0] == 0
-    for _, argv in argvs(here):
-        assert main(argv) == 0
-    for name in ("noisy.gtf", "smoothed.gtf", "sdf.gtf"):
-        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert main(argv(here)) == 0
+    assert tree_digest(fresh) == tree_digest(here)
+    assert bool(tree_digest(here)) == (command != "bound")  # bound writes no file
 
 
 LOADED_AFTER = """\

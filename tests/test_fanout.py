@@ -281,20 +281,30 @@ def test_workers_leave_when_their_caller_is_killed(deadline, fan_out):
                 pass
 
 
-# A forked worker inherits its parent's modules but imports anything else
-# anew, about 0.35 s for scipy.ndimage, so a fan-out whose workers call scipy
-# must find it imported when it forks. A fresh interpreter starts without it.
-SCIPY_AT_FORK = """\
+# The fan-outs' work is numpy alone: no process that runs a range, the caller
+# or a forked helper, has any scipy module loaded, before or after the fan-out.
+# Each range appends one line to LOG from the process that ran it.
+FAN_OUT_MODULES = """\
 import json, os, sys
 os.cpu_count = lambda: 2
 from segnoise import (CorrectionParams, MarkovNoiseParams, SynthSpec, TrainConfig,
                       ValidationBoundInputs, centered_disk, harness, noise)
+LOG = %r
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 seen = []
 def watch(module):
     fan_out = module.map_ranges
     def map_ranges(fn, *args):
-        seen.append([fn.__name__, "scipy.ndimage" in sys.modules])
-        return fan_out(fn, *args)
+        def ranged(*a):
+            out = fn(*a)
+            with open(LOG, "a") as log:
+                log.write(json.dumps([fn.__name__, os.getpid(), scipy_modules()]) + "\\n")
+            return out
+        seen.append(["before", fn.__name__, scipy_modules()])
+        out = fan_out(ranged, *args)
+        seen.append(["after", fn.__name__, scipy_modules()])
+        return out
     module.map_ranges = map_ranges
 watch(harness)
 watch(noise)
@@ -302,7 +312,7 @@ watch(noise)
 print(json.dumps(seen))
 """
 
-SCIPY_FAN_OUTS = {
+FAN_OUTS = {
     # V = 100 plus 10 held out: a pool of 110 256^2 ellipse unions, whose
     # distinct crops hold enough sites for two workers
     "_crop_gaps": """harness.verify_validation_bound(
@@ -312,20 +322,24 @@ SCIPY_FAN_OUTS = {
         centered_disk((9, 9), radius=3),
         MarkovNoiseParams(steps=2, theta1=0.6, theta2=0.7, smooth_sigma=0.8, seed=5),
         2000, threads=2)""",
-    # blur 0, so that synth_dataset calls no scipy; the fits' features do
+    # two label sets of 4 blurred 16^2 images at 600 epochs: 1.2 M site-epochs
     "_fit_arms": """harness.run_pipeline(
-        SynthSpec(count=8, shape=(16, 16), blur_sigma=0.0, noise_sigma=0.2),
+        SynthSpec(count=8, shape=(16, 16), noise_sigma=0.2),
         MarkovNoiseParams(steps=2, theta1=0.9, theta2=0.6), CorrectionParams(max_iters=1),
-        TrainConfig(learning_rate=1.0, epochs=60), n_val=2, n_test=2)""",
+        TrainConfig(learning_rate=1.0, epochs=600), n_val=2, n_test=2)""",
 }
 
 
-@pytest.mark.parametrize("fan_out", sorted(SCIPY_FAN_OUTS))
-def test_a_fan_out_whose_workers_call_scipy_imports_it_before_forking(fan_out):
-    proc = run_fresh(SCIPY_AT_FORK % SCIPY_FAN_OUTS[fan_out])
+@pytest.mark.parametrize("fan_out", sorted(FAN_OUTS))
+def test_a_fan_out_runs_with_no_scipy_in_any_process(tmp_path, fan_out):
+    log = tmp_path / "ranges.jsonl"
+    proc = run_fresh(FAN_OUT_MODULES % (str(log), FAN_OUTS[fan_out]))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == [[fan_out, True]]
+    assert seen == [["before", fan_out, []], ["after", fan_out, []]]
+    ranges = [json.loads(line) for line in log.read_text().splitlines()]
+    assert all(r[0] == fan_out and r[2] == [] for r in ranges), ranges
+    assert len({pid for _, pid, _ in ranges}) == 2, "the call did not fork a helper"
 
 
 def mc(mp, samples, theta3):

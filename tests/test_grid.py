@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
@@ -14,7 +14,8 @@ from segnoise import (
     erode_one,
     threshold,
 )
-from _oracles import boundaries, brute_boundaries
+from segnoise.grid import _gaussian_blur
+from _oracles import boundaries, brute_boundaries, same_bits, scipy_gaussian
 
 masks_2d = hnp.arrays(
     np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
@@ -176,3 +177,30 @@ def test_as_mask_accepts_01_ints_and_rejects_other_values():
         as_mask(np.array([[0, 2], [1, 0]]))
     with pytest.raises(ValueError):
         as_mask(np.zeros(5))  # 1-D has no lattice neighborhood here
+
+
+@st.composite
+def blur_cases(draw):
+    """A field and a sigma: the sigmas that specs and presets use, one below
+    the blur's cut-off and others; 2-D and 3-D grids with sides from 1 to
+    2r + 2, so that some lines are shorter than the kernel; masks as the
+    callers pass them, and real fields with zeros of both signs."""
+    sigma = draw(st.sampled_from([0.8, 1.2, 1.5, 2.0, 1e-16]) | st.floats(0.05, 3.5))
+    r = int(3.0 * sigma + 0.5)
+    shape = draw(st.lists(st.integers(1, 2 * r + 2), min_size=2, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.random(shape) < 0.5, sigma
+    field = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+    field[rng.random(shape) < 0.2] = -0.0
+    field[rng.random(shape) < 0.2] = 0.0
+    return field, sigma
+
+
+@settings(max_examples=300)
+@given(blur_cases())
+def test_gaussian_blur_has_the_bits_of_scipy(case):
+    field, sigma = case
+    before = field.copy()
+    assert same_bits(_gaussian_blur(field, sigma), scipy_gaussian(field, sigma))
+    assert np.array_equal(field, before)  # the input is left as it was

@@ -102,6 +102,24 @@ def test_hole_option_punches_interior_background():
         assert not (m & ~s).any()
 
 
+def test_only_holes_and_images_place_a_generator(monkeypatch):
+    # placing a mask's generator takes a few microseconds; masks without
+    # holes never read it
+    from segnoise import _seeds
+
+    def placed(self):
+        raise AssertionError("a generator was placed")
+        yield
+
+    monkeypatch.setattr(_seeds._ChildIntegers, "rngs", placed)
+    spec = SynthSpec(count=3, shape=(32, 32), family="ellipse-unions", seed=4)
+    assert len(list(synth_masks(spec))) == 3
+    with pytest.raises(AssertionError, match="placed"):
+        list(synth_masks(replace(spec, holes=(1, 1))))
+    with pytest.raises(AssertionError, match="placed"):
+        synth_dataset(spec)
+
+
 def test_3d_masks_are_supported():
     spec = SynthSpec(count=4, shape=(20, 20, 20), seed=2)
     for m in synth_masks(spec):
@@ -168,6 +186,28 @@ def test_synthetic_images_keep_their_bits(monkeypatch, case, block):
     for img, m in zip(images, masks):
         h.update(img.tobytes())
         h.update(np.ascontiguousarray(m, dtype=np.uint8).tobytes())
+    assert h.hexdigest() == digest
+
+
+# SHA-256 of 3-D synth_dataset images at the blurs that specs and presets
+# use, on volumes whose sides all differ, recorded before the blur moved from
+# scipy.ndimage.gaussian_filter to grid._gaussian_blur
+BLURRED_3D_DIGESTS = {
+    "ellipse-unions-blur-2.0": (SynthSpec(count=3, shape=(20, 24, 28), family="ellipse-unions",
+                                          blur_sigma=2.0, noise_sigma=0.2, seed=5),
+                                "e58faf88987f4166b8104a9e52d5caba0d2d4fb1e5621282334cde48e212f61b"),
+    "disks-blur-1.2": (SynthSpec(count=2, shape=(14, 33, 12), blur_sigma=1.2, seed=8),
+                       "b4cae8a2c073c59a4bfe8cfb7b22bd5718d718709d8e789ad399fdf1260d8a1d"),
+}
+
+
+@pytest.mark.parametrize("case", list(BLURRED_3D_DIGESTS))
+def test_blurred_3d_images_keep_their_bits(case):
+    spec, digest = BLURRED_3D_DIGESTS[case]
+    images, _ = synth_dataset(spec)
+    h = hashlib.sha256()
+    for img in images:
+        h.update(img.tobytes())
     assert h.hexdigest() == digest
 
 

@@ -1,11 +1,14 @@
 """Reference segmenter, Theorem-1 error offsets, external-trainer bridge."""
 
+import hashlib
 import os
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from segnoise import (
@@ -29,7 +32,7 @@ from segnoise import (
 from segnoise import _fanout
 from segnoise import model as model_module
 from segnoise.harness import draw_offsets
-from _oracles import finite_difference_grad, run_fresh
+from _oracles import finite_difference_grad, run_fresh, same_bits, scipy_box_mean
 
 
 def toy_data(n_images=3, shape=(12, 12), seed=0, noise=0.25):
@@ -278,6 +281,48 @@ def test_pipeline_sc_arm_matches_a_fresh_segmenter():
     sc_dsc = float(np.mean([dice(threshold(ref.model.predict_logits(x), 0.0, mode="ge"), m)
                             for x, m in zip(images[te], masks[te])]))
     assert {row["arm"]: row["test_dsc"] for row in res.metrics}["sc"] == sc_dsc
+
+
+# SHA-256 of the design matrix of a standard-normal image (one generator,
+# seed 21, drawn in this order), recorded before the box means moved from
+# scipy.ndimage.uniform_filter to model._box_mean. (3, 40) and (1, 9, 2) have
+# sides shorter than the filter.
+FEATURE_DIGESTS = [
+    ((64, 64), (1, 3), "2292e442243a1a1f1835a1f865922430acfe90de2ba22efb75ba29444e17e296"),
+    ((3, 40), (1, 3), "b9f0f3be92b18b32931b71b58a5b90968b59598811f0274866b51306479aff34"),
+    ((13, 17, 19), (1, 2, 4), "867539483b5150593ac8db42d59c706cfafe0ef37ba46b2d4e6dd3335ece8f43"),
+    ((1, 9, 2), (1, 5), "7efd91c21458c233860ce729d428c0ed728217255ef5d674875d9cd84744a095"),
+]
+
+
+def test_features_keep_their_bits():
+    rng = np.random.default_rng(21)
+    for shape, radii, digest in FEATURE_DIGESTS:
+        X = model_module._features(rng.standard_normal(shape), radii)
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest, (shape, radii)
+
+
+@st.composite
+def box_cases(draw):
+    """An image and a radius: TrainConfig's radii and others; 2-D and 3-D
+    grids with sides from 1 to 2r + 2, so that some lines are shorter than
+    the box; values over six decades, with zeros of both signs."""
+    r = draw(st.sampled_from([1, 3]) | st.integers(1, 6))
+    shape = draw(st.lists(st.integers(1, 2 * r + 2), min_size=2, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    image[rng.random(shape) < 0.2] = -0.0
+    image[rng.random(shape) < 0.2] = 0.0
+    return image, r
+
+
+@settings(max_examples=300)
+@given(box_cases())
+def test_box_mean_has_the_bits_of_scipy(case):
+    image, r = case
+    out = np.full(image.shape, np.nan)
+    model_module._box_mean(image, r, out)
+    assert same_bits(out, scipy_box_mean(image, r))
 
 
 def test_separable_data_reaches_perfect_training_accuracy():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,7 +17,8 @@ from segnoise import (
     synth_masks,
     threshold,
 )
-from _oracles import brute_signed_distance, cdt_signed_distance, random_mask
+from segnoise.sdf import _taxicab
+from _oracles import brute_signed_distance, cdt_signed_distance, random_mask, scipy_taxicab
 
 nondegenerate_2d = hnp.arrays(
     np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=10)
@@ -274,3 +275,15 @@ def test_gap_of_dilated_disk_prediction(disk9):
 def test_gap_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         sdf_gap(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 20), min_size=2, max_size=3), st.floats(0.0, 0.5),
+       st.integers(0, 2**32 - 1))
+def test_taxicab_matches_scipy(shape, density, seed):
+    rng = np.random.default_rng(seed)
+    zero = rng.random(shape) < density
+    zero.flat[rng.integers(zero.size)] = True  # the transform needs one true site
+    got = _taxicab(zero)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, scipy_taxicab(zero))
